@@ -213,6 +213,20 @@ def load_permutation(path) -> PermutationMap:
         raise ShapeError(
             f"expected {rows * cols} quadruples of 4 fields, got shape {quads.shape}"
         )
+    # An index outside the grid would alias another cell (or fall off the
+    # end), and a repeated source cell would leave another cell unfilled.
+    outside = ((quads < 0) | (quads >= [rows, cols, rows, cols])).any(axis=1)
+    source = quads[:, 0] * cols + quads[:, 1]
+    repeated = np.ones(len(source), dtype=bool)
+    repeated[np.unique(source, return_index=True)[1]] = False
+    for flags, problem in (
+        (outside, f"has an index outside the {rows}x{cols} grid"),
+        (repeated, "repeats an earlier source cell"),
+    ):
+        if flags.any():
+            bad = int(np.argmax(flags))
+            quad = " ".join(str(v) for v in quads[bad].tolist())
+            raise ShapeError(f"quadruple {bad + 1} ({quad}) {problem}")
     target = np.empty(rows * cols, dtype=np.int64)
-    target[quads[:, 0] * cols + quads[:, 1]] = quads[:, 2] * cols + quads[:, 3]
+    target[source] = quads[:, 2] * cols + quads[:, 3]
     return PermutationMap(rows, cols, target)

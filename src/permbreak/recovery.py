@@ -3,11 +3,13 @@
 Every plaintext/ciphertext pair splits the position grid by element value: a
 plain position showing value v can only have moved to a cipher position
 showing value v in the same pair.  Iterating this over pairs refines two
-matched partitions of the grid, kept here as the leaves of an L-ary tree
-whose root holds the whole grid.  A leaf of cardinality one pins a plain
-position to its cipher position with certainty; a leaf of cardinality c
-leaves c! orderings open.  The work per pair is linear in the grid because
-each position is touched once per side, never compared pairwise.
+matched partitions of the grid: the leaves of the paper's L-ary tree, whose
+root holds the whole grid.  A leaf of cardinality one pins a plain position
+to its cipher position with certainty; a leaf of cardinality c leaves c!
+orderings open.  The leaves are kept as flat label arrays, so one pair is a
+few whole-array passes (key by leaf and value, stable sort, split where the
+key changes).  Each unpinned position is touched once per side, never
+compared pairwise, so the work per pair is linear in the grid.
 
 The binary case (L = 2) attacks the bit-permutation cipher after bit-plane
 expansion; the general case (any L up to 256 here) breaks any
@@ -39,27 +41,16 @@ class InconsistentPair(ValueError):
         self.pair_index = pair_index
 
 
-class _Node:
-    """One tree node: matched plain/cipher position lists plus child links.
-
-    Position lists are flat row-major indices in ascending order; interior
-    nodes have had their contents pushed down and hold None.
-    """
-
-    __slots__ = ("plain", "cipher", "children")
-
-    def __init__(self, plain: np.ndarray, cipher: np.ndarray):
-        self.plain = plain
-        self.cipher = cipher
-        self.children: dict[int, _Node] = {}
-
-    @property
-    def cardinality(self) -> int:
-        return 0 if self.plain is None else len(self.plain)
-
-
 class RecoveryTree:
-    """L-ary partition-refinement tree over matched plain/cipher position sets."""
+    """Partition refinement over matched plain/cipher position sets.
+
+    The leaves of the paper's L-ary tree are held as flat int64 arrays.
+    ``_plain`` and ``_cipher`` list the positions of every leaf with more than
+    one position, leaf after leaf, ascending (row-major) inside each leaf;
+    ``_label`` numbers the leaf of each entry 0..K-1 and never decreases along
+    the arrays.  ``_pinned`` maps each plain position already pinned by a
+    singleton leaf to its cipher position, and holds -1 everywhere else.
+    """
 
     def __init__(self, rows: int, cols: int, arity: int = 2):
         if rows < 1 or cols < 1:
@@ -70,13 +61,14 @@ class RecoveryTree:
         self.cols = cols
         self.arity = arity
         size = rows * cols
-        full = np.arange(size, dtype=np.int64)
-        self.root = _Node(full, full.copy())
-        self._singletons: list[_Node] = []
-        self._active: list[_Node] = []
-        (self._active if size > 1 else self._singletons).append(self.root)
+        self._pinned = np.full(size, -1, dtype=np.int64)
+        self._plain = np.arange(size, dtype=np.int64)
+        if size == 1:  # the whole grid is already a singleton leaf
+            self._pinned[0] = 0
+            self._plain = self._plain[:0]
+        self._cipher = self._plain.copy()
+        self._label = np.zeros(len(self._plain), dtype=np.int64)
         self.positions_processed = 0
-        self.refinements = 0
 
     def _check_grid(self, grid, side: str) -> np.ndarray:
         g = np.asarray(grid)
@@ -92,67 +84,64 @@ class RecoveryTree:
     def refine(self, plain, cipher) -> None:
         """Split every multi-position leaf by element value, using one pair.
 
-        Plain positions are routed to the child for their plain value, cipher
-        positions to the child for their cipher value; both routings must
-        send the same number of positions to every child, or the pair cannot
-        be a permutation of the accepted history and InconsistentPair is
-        raised with the tree untouched.  Leaves already down to one position
-        are skipped: they can never split again.
+        Each unpinned position is keyed by (leaf, value) on its own side and
+        both sides are sorted by key.  The sorted keys must agree, or some
+        leaf would send different numbers of plain and cipher positions to
+        one value, the pair cannot be a permutation of the accepted history,
+        and InconsistentPair is raised with the tree untouched.  Pinned
+        positions are skipped: they can never split again.
         """
         pflat = self._check_grid(plain, "plain")
         cflat = self._check_grid(cipher, "cipher")
 
-        # Plan every split before touching the tree, so a bad pair cannot
-        # leave it half-refined.
-        plans = []
-        for leaf in self._active:
-            plain_values = pflat[leaf.plain]
-            cipher_values = cflat[leaf.cipher]
-            counts = np.bincount(plain_values, minlength=self.arity)
-            if not np.array_equal(counts, np.bincount(cipher_values, minlength=self.arity)):
-                raise InconsistentPair(
-                    "plain/cipher value counts disagree inside a leaf; the pair "
-                    "was not produced by a pure position permutation consistent "
-                    "with the earlier pairs"
-                )
-            plans.append((leaf, plain_values, cipher_values, counts))
+        base = self._label * self.arity
+        pkey = base + pflat[self._plain]
+        ckey = base + cflat[self._cipher]
+        # Stable sorts keep ascending (row-major) order inside each new leaf,
+        # which the in-order pairing of estimate_map relies on.
+        porder = np.argsort(pkey, kind="stable")
+        corder = np.argsort(ckey, kind="stable")
+        pkey = pkey[porder]
+        if not np.array_equal(pkey, ckey[corder]):
+            raise InconsistentPair(
+                "plain/cipher value counts disagree inside a leaf; the pair "
+                "was not produced by a pure position permutation consistent "
+                "with the earlier pairs"
+            )
 
-        new_active: list[_Node] = []
-        for leaf, plain_values, cipher_values, counts in plans:
-            # Stable sort by value keeps ascending (row-major) order inside
-            # each child, which the in-order pairing of estimate_map relies on.
-            plain_sorted = leaf.plain[np.argsort(plain_values, kind="stable")]
-            cipher_sorted = leaf.cipher[np.argsort(cipher_values, kind="stable")]
-            bounds = np.cumsum(counts)
-            start = 0
-            for value in np.flatnonzero(counts):
-                stop = int(bounds[value])
-                child = _Node(plain_sorted[start:stop], cipher_sorted[start:stop])
-                leaf.children[int(value)] = child
-                (new_active if stop - start > 1 else self._singletons).append(child)
-                start = stop
-            self.positions_processed += 2 * len(leaf.plain)
-            leaf.plain = None
-            leaf.cipher = None
-        self._active = new_active
-        self.refinements += 1
-
-    def _leaves(self):
-        yield from self._singletons
-        yield from self._active
+        starts = np.ones(len(pkey), dtype=bool)
+        np.not_equal(pkey[1:], pkey[:-1], out=starts[1:])
+        leaf = np.cumsum(starts) - 1
+        multi = np.bincount(leaf) > 1
+        keep = multi[leaf]
+        plain_sorted = self._plain[porder]
+        cipher_sorted = self._cipher[corder]
+        self._pinned[plain_sorted[~keep]] = cipher_sorted[~keep]
+        self._plain = plain_sorted[keep]
+        self._cipher = cipher_sorted[keep]
+        self._label = (np.cumsum(multi) - 1)[leaf[keep]]
+        self.positions_processed += 2 * len(pkey)
 
     def leaf_sets(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Copies of every leaf's (plain positions, cipher positions)."""
-        return [(leaf.plain.copy(), leaf.cipher.copy()) for leaf in self._leaves()]
+        """Copies of every leaf's (plain positions, cipher positions):
+        singletons in plain-position order, then the larger leaves."""
+        pinned = np.flatnonzero(self._pinned >= 0)
+        plain = np.concatenate((pinned, self._plain))
+        cipher = np.concatenate((self._pinned[pinned], self._cipher))
+        sizes = np.concatenate((np.ones(len(pinned), dtype=np.int64), np.bincount(self._label)))
+        bounds = np.cumsum(sizes)[:-1]
+        return list(zip(np.split(plain, bounds), np.split(cipher, bounds)))
 
     @property
     def leaf_count(self) -> int:
-        return len(self._singletons) + len(self._active)
+        active_leaves = int(self._label[-1]) + 1 if len(self._label) else 0
+        return self.rows * self.cols - len(self._plain) + active_leaves
 
     @property
     def singleton_fraction(self) -> float:
         """Fraction of grid positions already pinned with certainty."""
-        return len(self._singletons) / (self.rows * self.cols)
+        size = self.rows * self.cols
+        return (size - len(self._plain)) / size
 
     def residual_ambiguity(self) -> float:
         """log2 of the number of permutations consistent with all pairs.
@@ -160,17 +149,17 @@ class RecoveryTree:
         That count is the product over leaves of cardinality!, accumulated in
         log space; zero means unique recovery.
         """
+        # Summed in leaf order: reports and sweep CSVs are compared byte for byte.
         total = 0.0
-        for leaf in self._active:
-            total += lgamma(leaf.cardinality + 1)
+        for cardinality in np.bincount(self._label).tolist():
+            total += lgamma(cardinality + 1)
         return total / log(2.0)
 
     def estimate_map(self) -> PermutationMap:
         """Pick one consistent permutation: pair each leaf's k-th plain
         position with its k-th cipher position, both in row-major order."""
-        target = np.empty(self.rows * self.cols, dtype=np.int64)
-        for leaf in self._leaves():
-            target[leaf.plain] = leaf.cipher
+        target = self._pinned.copy()
+        target[self._plain] = self._cipher
         return PermutationMap(self.rows, self.cols, target)
 
 

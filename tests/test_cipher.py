@@ -267,3 +267,29 @@ class TestPermutationMap:
         path.write_text("1 8\n0 0 0 1\n")
         with pytest.raises(ShapeError):
             load_permutation(path)
+
+    def test_load_rejects_aliased_column(self, tmp_path):
+        # column 2 of row 0 would alias cell (1, 0) and load as the identity
+        path = tmp_path / "map.txt"
+        path.write_text("2 2\n0 0 0 0\n0 1 0 1\n0 2 1 0\n1 1 1 1\n")
+        with pytest.raises(ShapeError, match=r"quadruple 3 \(0 2 1 0\).*outside the 2x2 grid"):
+            load_permutation(path)
+
+    def test_load_rejects_negative_index(self, tmp_path):
+        # column -1 would alias the last cell and load as the identity
+        path = tmp_path / "map.txt"
+        path.write_text("1 2\n0 -1 0 1\n0 0 0 0\n")
+        with pytest.raises(ShapeError, match=r"quadruple 1 \(0 -1 0 1\).*outside"):
+            load_permutation(path)
+
+    def test_load_rejects_index_past_the_grid(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("1 2\n0 0 0 0\n0 1 5 1\n")
+        with pytest.raises(ShapeError, match=r"quadruple 2 \(0 1 5 1\).*outside"):
+            load_permutation(path)
+
+    def test_load_rejects_duplicated_source_line(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("1 2\n0 0 0 1\n0 0 0 1\n")
+        with pytest.raises(ShapeError, match=r"quadruple 2 \(0 0 0 1\) repeats"):
+            load_permutation(path)

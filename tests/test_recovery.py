@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -48,12 +49,15 @@ class TestTreeInit:
 
     def test_full_scale_root_cardinality(self):
         tree = RecoveryTree(256, 2048, 2)
-        assert tree.root.cardinality == 2**19
+        assert tree.leaf_count == 1
+        (plain, cipher), = tree.leaf_sets()
+        assert len(plain) == len(cipher) == 2**19
         assert tree.singleton_fraction == 0.0
 
     def test_byte_arity_small_grid(self):
         tree = RecoveryTree(2, 2, 256)
-        assert tree.root.cardinality == 4
+        (plain, cipher), = tree.leaf_sets()
+        assert plain.tolist() == cipher.tolist() == [0, 1, 2, 3]
         assert tree.arity == 256
 
     def test_rejects_degenerate_arguments(self):
@@ -72,7 +76,9 @@ class TestRefine:
         assert tree_partition(tree) == before
         assert tree.leaf_count == 1
         assert tree.singleton_fraction == 0.0
-        assert tree.root.cardinality == 0  # contents pushed into the single child
+        (plain, cipher), = tree.leaf_sets()  # one child leaf holding the whole grid
+        assert plain.tolist() == cipher.tolist() == list(range(16))
+        assert tree.positions_processed == 2 * 16
 
     def test_first_split_matches_value_counts(self):
         tree = RecoveryTree(2, 8, 2)
@@ -113,6 +119,34 @@ class TestRefine:
         # the untouched tree still accepts the genuine pair afterwards
         tree.refine(plain, cipher)
         tree.refine(*pairs[2])
+
+    @pytest.mark.parametrize("arity", [2, 256])
+    def test_pair_wrong_inside_one_leaf_raises_and_preserves_tree(self, arity):
+        high = arity - 1
+        perm = np.random.default_rng(11).permutation(8)
+
+        def cipher_of(plain):
+            cipher = np.empty(8, dtype=np.uint8)
+            cipher[perm] = plain.reshape(-1)
+            return cipher.reshape(2, 4)
+
+        tree = RecoveryTree(2, 4, arity)
+        first = np.array([[0, 0, 0, 0], [high, high, high, high]], dtype=np.uint8)
+        tree.refine(first, cipher_of(first))  # leaves: plain row 0, plain row 1
+        snapshot = tree_partition(tree)
+        processed = tree.positions_processed
+
+        second = np.array([[0, high, 0, high], [0, high, 0, high]], dtype=np.uint8)
+        cipher = cipher_of(second)
+        swapped = second.copy()
+        swapped[0, 1], swapped[1, 0] = second[1, 0], second[0, 1]  # across the two leaves
+        assert sorted(swapped.reshape(-1).tolist()) == sorted(cipher.reshape(-1).tolist())
+        with pytest.raises(InconsistentPair):
+            tree.refine(swapped, cipher)
+        assert tree_partition(tree) == snapshot
+        assert tree.positions_processed == processed
+
+        tree.refine(second, cipher)
 
     def test_rejects_values_outside_arity(self):
         tree = RecoveryTree(2, 2, 2)
@@ -313,7 +347,7 @@ class TestAttack:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("levels", [2, 4])
+    @pytest.mark.parametrize("levels", [2, 4, 256])
     def test_leaf_partition_matches_candidate_intersection(self, levels):
         rng = np.random.default_rng(10)
         for trial in range(10):
@@ -332,3 +366,51 @@ class TestOracleEquivalence:
             for plain, cipher in zip(plains, ciphers):
                 tree.refine(plain, cipher)
             assert tree_partition(tree) == intersection_partition(plains, ciphers)
+
+
+class TestGoldenOutputs:
+    """Attack outputs recorded before the partition moved from a node tree to
+    flat label arrays; they pin the in-order pairing inside each leaf."""
+
+    @staticmethod
+    def outcome(estimate, report):
+        fields = (
+            report.pairs_used,
+            report.leaf_count,
+            report.singleton_fraction,
+            report.residual_log2,
+            report.predicted_pb,
+            report.positions_processed,
+        )
+        return fields, hashlib.sha256(estimate.target.astype("<i8").tobytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "n0,fields,digest",
+        [
+            (
+                8,
+                (8, 256, 0.0, 4070.342638435262, 0.11115935735996527, 32768),
+                "2c496b309b1a5a096d39526ed8c6f1d89356f31f4d9017b88aa50bbb3aa648e2",
+            ),
+            (
+                12,
+                (12, 1582, 0.5810546875, 513.7595281410422, 0.6667751912746215, 47060),
+                "8037d44cba6ad91a58548c707736b94dd1f3ff871e436c30b0ea0a24d33cbe54",
+            ),
+        ],
+    )
+    def test_bit_mode_16x16(self, n0, fields, digest):
+        rng = np.random.default_rng(2009)
+        plains = [random_image(rng, 16, 16) for _ in range(n0)]
+        pairs = [(p, encrypt(p, REFERENCE_KEY)) for p in plains]
+        assert self.outcome(*attack(pairs, mode="bit")) == (fields, digest)
+
+    def test_byte_mode_8x8(self):
+        rng = np.random.default_rng(2009)
+        stub = PermutationMap(8, 8, rng.permutation(64).astype(np.int64))
+        plains = [rng.integers(0, 4, size=(8, 8), dtype=np.uint8) for _ in range(2)]
+        pairs = [(p, apply_map(stub, p)) for p in plains]
+        assert self.outcome(*attack(pairs, mode="byte")) == (
+            (2, 15, 0.015625, 94.45786718453502, 0.9990396195063949, 256),
+            "7c7fa87875ed4a6603784c41d439a5c3a7ee1fa3582a1e9daf3a77519f35522c",
+        )
