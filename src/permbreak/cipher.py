@@ -1,18 +1,22 @@
 """The bit-permutation image cipher and its equivalent-key representation.
 
 An 8-bit grayscale image of height M and width N is expanded into an
-M x 8N binary matrix (least-significant bit first inside each byte).  Each
-round gathers whole rows by the row ranking, then gathers bits inside every
-row by that row's column ranking; the pass is repeated ``key.rounds`` times,
-reseeding the orbit from its own final state between rounds.  Because the
-scheme only moves bits and never changes them, its entire effect is one
-fixed bijection on the M x 8N position grid, captured here as a
-:class:`PermutationMap` and usable as an equivalent decryption key.
+M x 8N binary matrix (least-significant bit first inside each byte).  The
+cipher is defined by rounds: each round gathers whole rows by the row
+ranking, then gathers bits inside every row by that row's column ranking;
+the pass is repeated ``key.rounds`` times, reseeding the orbit from its own
+final state between rounds.  Because the scheme only moves bits and never
+changes them, its entire effect is one fixed bijection on the M x 8N
+position grid, captured here as a :class:`PermutationMap` and usable as an
+equivalent decryption key.  That map is also the implementation:
+:func:`compose_permutation` runs the rounds once per key and shape, and
+:func:`encrypt` and :func:`decrypt` are a single pass through the map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,69 +62,6 @@ def pack_to_image(bits) -> np.ndarray:
     return np.packbits(arr, axis=1, bitorder="little")
 
 
-def encrypt_round(grid, row_perm, col_perms) -> np.ndarray:
-    """One permutation pass: gather rows, then gather within each row.
-
-    Output row i is input row row_perm[i]; output bit (i, l) is then bit
-    col_perms[i, l] of that gathered row.  Works on any 2-D value grid, so a
-    single round also serves as a byte-level permutation cipher.
-    """
-    g = np.asarray(grid)
-    rows, cols = g.shape
-    if row_perm.shape != (rows,) or col_perms.shape != (rows, cols):
-        raise ShapeError(
-            f"schedule shapes {row_perm.shape}/{col_perms.shape} do not match grid {g.shape}"
-        )
-    intermediate = g[row_perm, :]
-    return np.take_along_axis(intermediate, col_perms, axis=1)
-
-
-def decrypt_round(grid, row_perm, col_perms) -> np.ndarray:
-    """Exact inverse of :func:`encrypt_round`: scatter within rows, then scatter rows."""
-    g = np.asarray(grid)
-    rows, cols = g.shape
-    if row_perm.shape != (rows,) or col_perms.shape != (rows, cols):
-        raise ShapeError(
-            f"schedule shapes {row_perm.shape}/{col_perms.shape} do not match grid {g.shape}"
-        )
-    intermediate = np.empty_like(g)
-    np.put_along_axis(intermediate, col_perms, g, axis=1)
-    out = np.empty_like(g)
-    out[row_perm, :] = intermediate
-    return out
-
-
-def round_schedules(key: Key, rows: int, cols: int) -> list:
-    """All per-round schedules, chaining each round's seed from the previous
-    round's final orbit state (round 1 is seeded by the key itself)."""
-    schedules = []
-    x0 = key.x0
-    for _ in range(key.rounds):
-        row_perm, col_perms, x0 = build_schedule(replace(key, x0=x0), rows, cols)
-        schedules.append((row_perm, col_perms))
-    return schedules
-
-
-def encrypt(img, key: Key) -> np.ndarray:
-    """Encrypt a grayscale image under ``key``."""
-    bits = expand_to_bits(img)
-    for row_perm, col_perms in round_schedules(key, *bits.shape):
-        bits = encrypt_round(bits, row_perm, col_perms)
-    return pack_to_image(bits)
-
-
-def decrypt(img, key: Key) -> np.ndarray:
-    """Invert :func:`encrypt`: undo the rounds in reverse order.
-
-    The per-round seeds are only defined forwards, so the whole seed chain is
-    recomputed before anything is undone.
-    """
-    bits = expand_to_bits(img)
-    for row_perm, col_perms in reversed(round_schedules(key, *bits.shape)):
-        bits = decrypt_round(bits, row_perm, col_perms)
-    return pack_to_image(bits)
-
-
 @dataclass(frozen=True)
 class PermutationMap:
     """Bijection on the rows x cols position grid.
@@ -143,23 +84,41 @@ class PermutationMap:
             raise ShapeError("target does not define a bijection on the grid")
 
 
+@lru_cache(maxsize=1)
 def compose_permutation(key: Key, height: int, width: int) -> PermutationMap:
     """Collapse the full multi-round cipher into a single position bijection.
 
     The returned map W satisfies: for every image, the cipher bit at W(i, l)
-    equals the plain bit at (i, l).
+    equals the plain bit at (i, l).  The last map built is cached, so
+    encrypting many images under one key and shape builds it once; its
+    target is read-only because every caller shares it.
     """
     cols = 8 * width
     size = height * cols
     # Each round is a gather out[q] = in[src[q]]; compose the gathers, then
-    # invert to express "where does plain position p end up".
+    # invert to express "where does plain position p end up".  Round 1 is
+    # seeded by the key, every later round by its predecessor's final state.
     gather = np.arange(size, dtype=np.int64)
-    for row_perm, col_perms in round_schedules(key, height, cols):
-        src = (row_perm[:, None] * cols + col_perms).reshape(-1)
-        gather = gather[src]
+    x0 = key.x0
+    for _ in range(key.rounds):
+        row_perm, col_perms, x0 = build_schedule(replace(key, x0=x0), height, cols)
+        gather = gather[(row_perm[:, None] * cols + col_perms).reshape(-1)]
     target = np.empty(size, dtype=np.int64)
     target[gather] = np.arange(size, dtype=np.int64)
+    target.flags.writeable = False
     return PermutationMap(height, cols, target)
+
+
+def encrypt(img, key: Key) -> np.ndarray:
+    """Encrypt a grayscale image under ``key``: one scatter through its map."""
+    bits = expand_to_bits(img)
+    return pack_to_image(apply_map(compose_permutation(key, *np.shape(img)), bits))
+
+
+def decrypt(img, key: Key) -> np.ndarray:
+    """Invert :func:`encrypt`: one gather back through the same map."""
+    bits = expand_to_bits(img)
+    return pack_to_image(apply_inverse(compose_permutation(key, *np.shape(img)), bits))
 
 
 def apply_map(pmap: PermutationMap, grid) -> np.ndarray:

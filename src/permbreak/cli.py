@@ -231,6 +231,14 @@ def cmd_sweep(args) -> int:
         fh.write(SWEEP_CSV_HEADER + "\n")
         fh.write("\n".join(rows) + "\n")
     print(f"sweep: {out_path} ({len(rows)} rows)")
+    by_n0: dict[int, list[list[float]]] = {}
+    for row in rows:
+        fields = row.split(",")
+        by_n0.setdefault(int(fields[1]), []).append([float(v) for v in fields[3:6]])
+    print("n0,mean_bit_accuracy,mean_pixel_accuracy,mean_perm_accuracy")
+    for n0, scores in by_n0.items():
+        bit, pixel, perm = np.mean(scores, axis=0)
+        print(f"{n0},{bit:.4f},{pixel:.4f},{perm:.4f}")
     return 0
 
 

@@ -17,6 +17,10 @@ import numpy as np
 # the cipher's key space is the chaotic band up to (but excluding) 4.
 MU_MIN = 3.569945672
 MU_MAX = 4.0
+# Key lines come from outside the program; these caps keep a key from
+# demanding an unbounded orbit (memory) or round count (time).
+MAX_OFFSET = 2**20
+MAX_ROUNDS = 64
 
 
 class InvalidKeyDomain(ValueError):
@@ -33,9 +37,9 @@ class Key:
 
     x0          initial condition of the logistic map, in the open (0, 1)
     mu          control parameter, in the open (MU_MIN, 4)
-    row_offset  orbit samples skipped before the row-ranking segment
-    col_offset  orbit samples skipped before the per-row bit segments
-    rounds      number of times the whole permutation pass is repeated
+    row_offset  orbit samples skipped before the row-ranking segment, in [1, MAX_OFFSET]
+    col_offset  orbit samples skipped before the per-row bit segments, in [1, MAX_OFFSET]
+    rounds      number of times the whole permutation pass is repeated, in [1, MAX_ROUNDS]
 
     The on-disk key line ``x0 mu m n T`` maps onto the fields in this order
     (see :func:`parse_key`).
@@ -54,56 +58,21 @@ class Key:
             raise InvalidKeyDomain(
                 f"mu must lie strictly inside ({MU_MIN}, {MU_MAX}), got {self.mu}"
             )
-        for name in ("row_offset", "col_offset", "rounds"):
+        for name, cap in (
+            ("row_offset", MAX_OFFSET),
+            ("col_offset", MAX_OFFSET),
+            ("rounds", MAX_ROUNDS),
+        ):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise InvalidKeyDomain(f"{name} must be a positive integer, got {value!r}")
+            if not isinstance(value, (int, np.integer)) or not 1 <= value <= cap:
+                raise InvalidKeyDomain(f"{name} must be an integer in [1, {cap}], got {value!r}")
 
 
-@dataclass(frozen=True)
-class ChaoticSequence:
-    """The first ``len(values)`` iterates of the map, seed excluded."""
+def generate_sequence(key: Key, length: int) -> np.ndarray:
+    """The first ``length`` iterates of the map from ``key.x0``, seed excluded.
 
-    values: np.ndarray
-    origin_x0: float
-
-    @property
-    def final_state(self) -> float:
-        """Last iterate; reseeds the map between cipher rounds."""
-        return float(self.values[-1])
-
-
-def _fold(x: float) -> float:
-    # The map satisfies f(x) = f(1-x) exactly in real arithmetic.  Evaluating
-    # every step at the upper representative of {x, 1-x} makes the identity
-    # hold bit-exactly in floats too: 1-x is exact for x in [0.5, 1]
-    # (Sterbenz), so both members of a mirrored pair fold to one double.
-    y = 1.0 - x
-    return y if x < y < 1.0 else x
-
-
-def logistic_step(x: float, mu: float) -> float:
-    """One iterate mu*x*(1-x) of the logistic map.
-
-    Both arguments are validated against the key domain, since the cipher is
-    only defined there.  For seeds in (0, 1) and mu < 4 the result stays
-    strictly inside (0, 1), and mirrored seeds x and 1-x give bit-identical
-    results.
-    """
-    if not 0.0 < x < 1.0:
-        raise InvalidKeyDomain(f"x must lie strictly inside (0, 1), got {x}")
-    if not MU_MIN < mu < MU_MAX:
-        raise InvalidKeyDomain(f"mu must lie strictly inside ({MU_MIN}, {MU_MAX}), got {mu}")
-    x = _fold(x)
-    return mu * x * (1.0 - x)
-
-
-def generate_sequence(key: Key, length: int) -> ChaoticSequence:
-    """Iterate the map ``length`` times from ``key.x0``.
-
-    values[0] is already one step past the seed, so seeds x0 and 1-x0 yield
-    identical sequences (the map is symmetric about 1/2).  Equivalent to
-    ``length`` chained calls of :func:`logistic_step`, folding included.
+    Element 0 is already one step past the seed, so seeds x0 and 1-x0 yield
+    identical sequences (the map is symmetric about 1/2).
     """
     if length < 1:
         raise ValueError(f"sequence length must be >= 1, got {length}")
@@ -111,12 +80,16 @@ def generate_sequence(key: Key, length: int) -> ChaoticSequence:
     x = key.x0
     out = np.empty(length, dtype=np.float64)
     for k in range(length):
+        # f(x) = f(1-x) holds exactly in real arithmetic.  Evaluating every
+        # step at the upper representative of {x, 1-x} makes it hold
+        # bit-exactly in floats too: 1-x is exact for x in [0.5, 1]
+        # (Sterbenz), so both members of a mirrored pair fold to one double.
         y = 1.0 - x
         if x < y < 1.0:
             x = y
         x = mu * x * (1.0 - x)
         out[k] = x
-    return ChaoticSequence(out, key.x0)
+    return out
 
 
 def rank_vector(segment) -> np.ndarray:
@@ -145,12 +118,11 @@ def build_schedule(key: Key, rows: int, cols: int):
     if rows < 1 or cols < 1:
         raise ValueError("schedule needs rows >= 1 and cols >= 1")
     length = max(key.row_offset + rows, key.col_offset + rows * cols)
-    seq = generate_sequence(key, length)
-    v = seq.values
+    v = generate_sequence(key, length)
     row_perm = rank_vector(v[key.row_offset : key.row_offset + rows])
     col_segments = v[key.col_offset : key.col_offset + rows * cols].reshape(rows, cols)
     col_perms = np.argsort(-col_segments, axis=1, kind="stable")
-    return row_perm, col_perms, seq.final_state
+    return row_perm, col_perms, float(v[-1])
 
 
 def trajectory_histogram(x0: float, mu: float, count: int, bins: int) -> np.ndarray:
@@ -161,8 +133,8 @@ def trajectory_histogram(x0: float, mu: float, count: int, bins: int) -> np.ndar
     """
     if bins < 1 or count < bins:
         raise ValueError("need count >= bins >= 1")
-    seq = generate_sequence(Key(x0, mu, 1, 1, 1), count)
-    counts, _ = np.histogram(seq.values, bins=bins, range=(0.0, 1.0))
+    values = generate_sequence(Key(x0, mu, 1, 1, 1), count)
+    counts, _ = np.histogram(values, bins=bins, range=(0.0, 1.0))
     return counts
 
 

@@ -3,13 +3,56 @@ code paths they check."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import comb
 
 import numpy as np
 
+from permbreak.keystream import build_schedule
+
 
 def random_image(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
     return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+
+
+def folded_step(x: float, mu: float) -> float:
+    """One logistic-map step mu*x*(1-x), taken at the upper member of
+    {x, 1-x} as the keystream does, so mirrored seeds agree bit-exactly."""
+    y = 1.0 - x
+    if x < y < 1.0:
+        x = y
+    return mu * x * (1.0 - x)
+
+
+def reference_round(bits, row_perm, col_perms) -> list[list[int]]:
+    """One round of the cipher's definition on a list-of-rows bit grid:
+    output row i is input row row_perm[i], then output bit (i, l) is bit
+    col_perms[i][l] of that gathered row."""
+    gathered = [list(bits[int(r)]) for r in row_perm]
+    return [[row[int(c)] for c in col_perms[i]] for i, row in enumerate(gathered)]
+
+
+def reference_encrypt(img, key) -> np.ndarray:
+    """The cipher as the paper defines it, round by round.
+
+    Bit l = 8j+k of row i is bit k (weight 2**k) of pixel (i, j).  Round 1
+    is scheduled from the key; every later round reseeds x0 from the final
+    orbit state that build_schedule returned for the round before.
+    """
+    pixels = np.asarray(img, dtype=np.uint8)
+    height, width = pixels.shape
+    bits = [
+        [(int(pixels[i, l // 8]) >> (l % 8)) & 1 for l in range(8 * width)]
+        for i in range(height)
+    ]
+    x0 = key.x0
+    for _ in range(key.rounds):
+        row_perm, col_perms, x0 = build_schedule(replace(key, x0=x0), height, 8 * width)
+        bits = reference_round(bits, row_perm, col_perms)
+    return np.array(
+        [[sum(row[8 * j + k] << k for k in range(8)) for j in range(width)] for row in bits],
+        dtype=np.uint8,
+    )
 
 
 def naive_rank(segment) -> list[int]:

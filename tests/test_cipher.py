@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_image
+from conftest import random_image, reference_encrypt, reference_round
 from permbreak.cipher import (
     PermutationMap,
     ShapeError,
@@ -12,13 +14,10 @@ from permbreak.cipher import (
     apply_map,
     compose_permutation,
     decrypt,
-    decrypt_round,
     encrypt,
-    encrypt_round,
     expand_to_bits,
     load_permutation,
     pack_to_image,
-    round_schedules,
     save_permutation,
 )
 from permbreak.keystream import Key, build_schedule, random_key
@@ -69,58 +68,75 @@ class TestBitExpansion:
 
 
 class TestRounds:
+    """The per-round definition (the reference oracle) and encrypt/decrypt
+    against it."""
+
     def test_identity_schedule_is_identity(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, size=(4, 16), dtype=np.uint8)
         row_perm = np.arange(4)
         col_perms = np.tile(np.arange(16), (4, 1))
-        assert np.array_equal(encrypt_round(bits, row_perm, col_perms), bits)
-        assert np.array_equal(decrypt_round(bits, row_perm, col_perms), bits)
+        assert np.array_equal(reference_round(bits, row_perm, col_perms), bits)
 
     def test_row_swap(self):
         bits = np.vstack([np.zeros(8, dtype=np.uint8), np.ones(8, dtype=np.uint8)])
         row_perm = np.array([1, 0])
         col_perms = np.tile(np.arange(8), (2, 1))
-        assert np.array_equal(encrypt_round(bits, row_perm, col_perms), bits[::-1])
+        assert np.array_equal(reference_round(bits, row_perm, col_perms), bits[::-1])
 
     def test_all_zero_input_stays_zero(self):
         rng = np.random.default_rng(1)
         row_perm, col_perms = random_schedule(rng, 3, 24)
         zero = np.zeros((3, 24), dtype=np.uint8)
-        assert np.array_equal(encrypt_round(zero, row_perm, col_perms), zero)
+        assert np.array_equal(reference_round(zero, row_perm, col_perms), zero)
 
     def test_decrypt_round_inverts_encrypt_round(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            bits = rng.integers(0, 2, size=(5, 40), dtype=np.uint8)
-            row_perm, col_perms = random_schedule(rng, 5, 40)
-            scrambled = encrypt_round(bits, row_perm, col_perms)
-            assert np.array_equal(decrypt_round(scrambled, row_perm, col_perms), bits)
+            key = random_key(rng)
+            img = random_image(rng, 5, 5)
+            assert np.array_equal(decrypt(reference_encrypt(img, key), key), img)
 
     def test_decrypt_round_matches_inverted_position_table(self):
-        # build the round's position bijection explicitly, invert it as a
-        # table, and check decrypt_round against that brute-force inverse
+        # build a one-round key's position bijection explicitly, invert it
+        # as a table, and check decrypt against that brute-force inverse
         rng = np.random.default_rng(3)
-        rows, cols = 4, 16
-        bits = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-        row_perm, col_perms = random_schedule(rng, rows, cols)
-        forward = {}
+        key = Key(0.7, 3.99, 2, 3, 1)
+        rows, width = 4, 2
+        cols = 8 * width
+        img = random_image(rng, rows, width)
+        row_perm, col_perms, _ = build_schedule(key, rows, cols)
+        scrambled = expand_to_bits(encrypt(img, key))
+        undone = np.empty_like(scrambled)
         for i in range(rows):
             for l in range(cols):
-                forward[(i, l)] = (int(row_perm[i]), int(col_perms[i, l]))
-        scrambled = encrypt_round(bits, row_perm, col_perms)
-        undone = np.empty_like(bits)
-        for (i, l), (si, sl) in forward.items():
-            undone[si, sl] = scrambled[i, l]
-        assert np.array_equal(decrypt_round(scrambled, row_perm, col_perms), undone)
+                undone[int(row_perm[i]), int(col_perms[i, l])] = scrambled[i, l]
+        assert np.array_equal(expand_to_bits(decrypt(pack_to_image(scrambled), key)), undone)
 
     def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(4)
-        row_perm, col_perms = random_schedule(rng, 3, 8)
+        # a one-round key's composed map, forward and inverse, refuses a
+        # bit grid of any other shape
+        pmap = compose_permutation(Key(0.7, 3.99, 2, 3, 1), 3, 1)
         with pytest.raises(ShapeError):
-            encrypt_round(np.zeros((4, 8), dtype=np.uint8), row_perm, col_perms)
+            apply_map(pmap, np.zeros((4, 8), dtype=np.uint8))
         with pytest.raises(ShapeError):
-            decrypt_round(np.zeros((3, 9), dtype=np.uint8), row_perm, col_perms)
+            apply_inverse(pmap, np.zeros((3, 9), dtype=np.uint8))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rounds=st.integers(1, 4),
+        height=st.integers(1, 6),
+        width=st.integers(1, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_encrypt_matches_reference_bit_exactly(self, seed, rounds, height, width):
+        rng = np.random.default_rng(seed)
+        key = replace(random_key(rng), rounds=rounds)
+        img = random_image(rng, height, width)
+        expected = reference_encrypt(img, key)
+        assert np.array_equal(encrypt(img, key), expected)
+        assert np.array_equal(encrypt(img, replace(key, x0=1.0 - key.x0)), expected)
+        assert np.array_equal(decrypt(expected, key), img)
 
 
 class TestEncryptDecrypt:
@@ -147,7 +163,7 @@ class TestEncryptDecrypt:
         key = Key(0.2009, 3.98, 20, 51, 1)
         img = random_image(np.random.default_rng(6), 4, 4)
         row_perm, col_perms, _ = build_schedule(key, 4, 32)
-        expected = pack_to_image(encrypt_round(expand_to_bits(img), row_perm, col_perms))
+        expected = pack_to_image(reference_round(expand_to_bits(img), row_perm, col_perms))
         assert np.array_equal(encrypt(img, key), expected)
 
     def test_zero_image_is_fixed_point(self):
@@ -182,8 +198,9 @@ class TestEncryptDecrypt:
         img = random_image(np.random.default_rng(9), 8, 8)
         once = encrypt(img, one)
         assert not np.array_equal(encrypt(img, two), encrypt(once, one))
-        schedules = round_schedules(two, 8, 64)
-        assert not np.array_equal(schedules[0][1], schedules[1][1])
+        _, first_cols, final_state = build_schedule(two, 8, 64)
+        _, second_cols, _ = build_schedule(replace(two, x0=final_state), 8, 64)
+        assert not np.array_equal(first_cols, second_cols)
 
 
 class TestComposePermutation:
@@ -220,6 +237,26 @@ class TestComposePermutation:
         pmap = compose_permutation(key, 8, 8)
         cipher_bits = expand_to_bits(encrypt(img, key))
         assert np.array_equal(pack_to_image(apply_inverse(pmap, cipher_bits)), img)
+
+
+class TestComposeCache:
+    def test_same_key_and_shape_reuse_one_map(self):
+        assert compose_permutation(REFERENCE_KEY, 3, 2) is compose_permutation(REFERENCE_KEY, 3, 2)
+
+    def test_cached_target_is_read_only(self):
+        pmap = compose_permutation(REFERENCE_KEY, 3, 2)
+        with pytest.raises(ValueError):
+            pmap.target[0] = pmap.target[1]
+
+    @pytest.mark.parametrize("shape", [(3, 4), (5, 2)])
+    def test_alternating_keys_match_reference(self, shape):
+        rng = np.random.default_rng(15)
+        key_a, key_b = random_key(rng), random_key(rng)
+        img = random_image(rng, *shape)
+        for key in (key_a, key_b, key_a):
+            expected = reference_encrypt(img, key)
+            assert np.array_equal(encrypt(img, key), expected)
+            assert np.array_equal(decrypt(expected, key), img)
 
 
 class TestPermutationMap:

@@ -47,6 +47,21 @@ class TestEncryptDecrypt:
         assert code != 0
         assert "mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [("0.3 3.9 1 99999999999999 1", "col_offset"), ("0.3 3.9 1 1 100000000", "rounds")],
+    )
+    def test_rejects_unbounded_key_line(self, tmp_path, sample_image, capsys, line, field):
+        # either key would otherwise exhaust memory or run without bound
+        plain_path, _ = sample_image
+        bad_key = tmp_path / "bad.txt"
+        bad_key.write_text(line + "\n")
+        code = main(["encrypt", plain_path, str(tmp_path / "out.pgm"), "--key", str(bad_key)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+        assert not (tmp_path / "out.pgm").exists()
+
     def test_rejects_missing_image(self, tmp_path, key_file, capsys):
         code = main(["encrypt", str(tmp_path / "nope.pgm"), str(tmp_path / "o.pgm"), "--key", key_file])
         assert code != 0

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from conftest import naive_rank
+from conftest import folded_step, naive_rank
 from permbreak.keystream import (
+    MAX_OFFSET,
+    MAX_ROUNDS,
     MU_MIN,
     EmptySegment,
     InvalidKeyDomain,
@@ -13,7 +15,6 @@ from permbreak.keystream import (
     build_schedule,
     format_key,
     generate_sequence,
-    logistic_step,
     parse_key,
     random_key,
     rank_vector,
@@ -26,32 +27,36 @@ seeds = st.floats(min_value=1e-12, max_value=1.0 - 1e-12, allow_nan=False)
 mus = st.floats(min_value=MU_MIN + 1e-9, max_value=4.0 - 1e-9, allow_nan=False)
 
 
+def one_step(x, mu):
+    return generate_sequence(Key(x, mu, 1, 1, 1), 1)[0]
+
+
 class TestLogisticStep:
     def test_peak_value(self):
         # x(1-x) is maximal at 1/4, scaled by mu
-        assert logistic_step(0.5, 3.98) == 0.995
+        assert one_step(0.5, 3.98) == 0.995
 
     def test_high_precision_reference(self):
         # frozen from an independent arbitrary-precision evaluation
-        assert logistic_step(0.2009, 3.98) == approx(0.6389459762, rel=1e-12)
+        assert one_step(0.2009, 3.98) == approx(0.6389459762, rel=1e-12)
 
     @given(x=seeds, mu=mus)
     def test_mirrored_seeds_agree_exactly(self, x, mu):
-        assert logistic_step(x, mu) == logistic_step(1.0 - x, mu)
+        assert one_step(x, mu) == one_step(1.0 - x, mu)
 
     @given(x=seeds, mu=mus)
     def test_stays_inside_unit_interval(self, x, mu):
-        assert 0.0 < logistic_step(x, mu) < 1.0
+        assert 0.0 < one_step(x, mu) < 1.0
 
     @pytest.mark.parametrize("x", [0.0, 1.0, -0.3, 1.5])
     def test_rejects_x_outside_domain(self, x):
         with pytest.raises(InvalidKeyDomain):
-            logistic_step(x, 3.98)
+            one_step(x, 3.98)
 
     @pytest.mark.parametrize("mu", [3.5, MU_MIN, 4.0, 4.2])
     def test_rejects_mu_outside_domain(self, mu):
         with pytest.raises(InvalidKeyDomain):
-            logistic_step(0.4, mu)
+            one_step(0.4, mu)
 
 
 class TestKeyDomain:
@@ -69,6 +74,11 @@ class TestKeyDomain:
             dict(col_offset=0),
             dict(rounds=0),
             dict(rounds=1.5),
+            dict(row_offset=MAX_OFFSET + 1),
+            dict(col_offset=MAX_OFFSET + 1),
+            dict(col_offset=99999999999999),
+            dict(rounds=MAX_ROUNDS + 1),
+            dict(rounds=100000000),
         ],
     )
     def test_rejects_out_of_domain_components(self, fields):
@@ -76,6 +86,10 @@ class TestKeyDomain:
         base.update(fields)
         with pytest.raises(InvalidKeyDomain):
             Key(**base)
+
+    def test_caps_are_inclusive(self):
+        key = Key(0.2009, 3.98, MAX_OFFSET, MAX_OFFSET, MAX_ROUNDS)
+        assert (key.row_offset, key.col_offset, key.rounds) == (MAX_OFFSET, MAX_OFFSET, MAX_ROUNDS)
 
     def test_parse_format_roundtrip(self):
         key = parse_key("0.2009 3.98 20 51 4")
@@ -90,41 +104,39 @@ class TestKeyDomain:
 
 class TestGenerateSequence:
     def test_two_manual_iterations(self):
-        seq = generate_sequence(Key(0.5, 3.98, 1, 1, 1), 2)
-        assert seq.values[0] == 0.995
-        assert seq.values[1] == approx(0.0198005, rel=1e-12)
+        values = generate_sequence(Key(0.5, 3.98, 1, 1, 1), 2)
+        assert values[0] == 0.995
+        assert values[1] == approx(0.0198005, rel=1e-12)
 
     def test_single_element_is_one_step(self):
         key = Key(0.3, 3.9, 1, 1, 1)
-        seq = generate_sequence(key, 1)
-        assert seq.values.tolist() == [logistic_step(0.3, 3.9)]
-        assert seq.final_state == seq.values[-1]
+        assert generate_sequence(key, 1).tolist() == [folded_step(0.3, 3.9)]
 
     def test_matches_chained_logistic_steps(self):
         key = Key(0.2009, 3.98, 1, 1, 1)
-        seq = generate_sequence(key, 200)
+        values = generate_sequence(key, 200)
         x = key.x0
         for k in range(200):
-            x = logistic_step(x, key.mu)
-            assert seq.values[k] == x
+            x = folded_step(x, key.mu)
+            assert values[k] == x
 
     def test_deterministic(self):
-        a = generate_sequence(REFERENCE_KEY, 500).values
-        b = generate_sequence(REFERENCE_KEY, 500).values
+        a = generate_sequence(REFERENCE_KEY, 500)
+        b = generate_sequence(REFERENCE_KEY, 500)
         assert np.array_equal(a, b)
 
     @given(x0=seeds, mu=mus)
     @settings(max_examples=50)
     def test_mirrored_seed_gives_identical_sequence(self, x0, mu):
-        a = generate_sequence(Key(x0, mu, 1, 1, 1), 64).values
-        b = generate_sequence(Key(1.0 - x0, mu, 1, 1, 1), 64).values
+        a = generate_sequence(Key(x0, mu, 1, 1, 1), 64)
+        b = generate_sequence(Key(1.0 - x0, mu, 1, 1, 1), 64)
         assert np.array_equal(a, b)
 
     def test_values_strictly_inside_unit_interval(self):
         # 100 random keys, 10^4 iterates each
         for i in range(100):
             key = random_key(np.random.default_rng(i))
-            values = generate_sequence(key, 10_000).values
+            values = generate_sequence(key, 10_000)
             assert values.min() > 0.0
             assert values.max() < 1.0
 
@@ -203,7 +215,7 @@ class TestBuildSchedule:
         rows, cols = 3, 24
         length = max(key.row_offset + rows, key.col_offset + rows * cols)
         _, _, final_state = build_schedule(key, rows, cols)
-        assert final_state == generate_sequence(key, length).final_state
+        assert final_state == generate_sequence(key, length)[-1]
 
 
 class TestTrajectoryHistogram:
