@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import median_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cipher import PermutationMap, ShapeError, _as_image, encrypt, expand_to_bits
 
@@ -15,12 +15,11 @@ _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(a
 
 @dataclass(frozen=True)
 class AccuracySummary:
-    """Recovery scores; perm_accuracy is None until a ground-truth map is known."""
+    """Image-level recovery scores; the map-level score is perm_accuracy()."""
 
     bit_accuracy: float
     pixel_accuracy: float
     one_bit_error_fraction: float
-    perm_accuracy: float | None = None
 
 
 def compare_images(recovered, original) -> tuple[AccuracySummary, np.ndarray]:
@@ -68,8 +67,14 @@ def difference_histogram(recovered, original) -> np.ndarray:
 
 def median_filter_3x3(img) -> np.ndarray:
     """3x3 median smoothing with edge replication; knocks out isolated
-    wrong pixels in a recovered image."""
-    return median_filter(_as_image(img), size=3, mode="nearest")
+    wrong pixels in a recovered image.
+
+    The median of 9 is the 5th order statistic of each window of the
+    edge-padded image.
+    """
+    arr = _as_image(img)
+    windows = sliding_window_view(np.pad(arr, 1, mode="edge"), (3, 3))
+    return np.partition(windows.reshape(*arr.shape, 9), 4, axis=-1)[..., 4].copy()
 
 
 def bit_histogram(img) -> tuple[int, int]:

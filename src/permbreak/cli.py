@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,29 +52,6 @@ SWEEP_CSV_HEADER = (
     "seed,n0,trial,bit_accuracy,pixel_accuracy,perm_accuracy,"
     "singleton_fraction,residual_log2,predicted_pb,positions_processed"
 )
-
-
-@dataclass
-class ExperimentConfig:
-    """Settings for one accuracy sweep."""
-
-    height: int
-    width: int
-    n0_min: int
-    n0_max: int
-    trials: int
-    seed: int
-    key_file: str | None = None  # fixed key; None draws a fresh key per trial
-    corpus_dir: str | None = None  # plaintext source; None means synthetic uniform
-    out_dir: str = "."
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("image dimensions must be >= 1")
-        if self.n0_max < self.n0_min or self.n0_min < 1:
-            raise ValueError("need 1 <= n0_min <= n0_max")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
 
 
 def _load_key(path: str) -> Key:
@@ -161,38 +137,54 @@ def cmd_gen_chosen(args) -> int:
     return 0
 
 
-def run_sweep(config: ExperimentConfig) -> list[str]:
+def run_sweep(
+    *,
+    height: int,
+    width: int,
+    n0_min: int,
+    n0_max: int,
+    trials: int,
+    seed: int,
+    key_file: str | None = None,
+    corpus_dir: str | None = None,
+) -> list[str]:
     """Run the sweep and return the CSV rows (header excluded).
 
+    ``key_file`` fixes the key (None draws a fresh key per trial) and
+    ``corpus_dir`` supplies the plaintexts (None means synthetic uniform).
     Each (n0, trial) cell draws everything from its own seed sequence, so
     rows do not depend on execution order and reruns are byte-identical.
     """
-    fixed_key = _load_key(config.key_file) if config.key_file else None
+    if height < 1 or width < 1:
+        raise ValueError("image dimensions must be >= 1")
+    if n0_max < n0_min or n0_min < 1:
+        raise ValueError("need 1 <= n0_min <= n0_max")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    fixed_key = _load_key(key_file) if key_file else None
     corpus = None
-    if config.corpus_dir is not None:
-        names = sorted(f for f in os.listdir(config.corpus_dir) if f.endswith(".pgm"))
-        corpus = [read_pgm(os.path.join(config.corpus_dir, f)) for f in names]
+    if corpus_dir is not None:
+        names = sorted(f for f in os.listdir(corpus_dir) if f.endswith(".pgm"))
+        corpus = [read_pgm(os.path.join(corpus_dir, f)) for f in names]
         for img in corpus:
-            if img.shape != (config.height, config.width):
+            if img.shape != (height, width):
                 raise ShapeError(
                     f"corpus image shape {img.shape} does not match configured "
-                    f"{config.height}x{config.width}"
+                    f"{height}x{width}"
                 )
-        if len(corpus) < config.n0_max + 1:
+        if len(corpus) < n0_max + 1:
             raise ValueError(
                 f"corpus holds {len(corpus)} images but the sweep needs up to "
-                f"{config.n0_max + 1} (n0_max plus one held-out)"
+                f"{n0_max + 1} (n0_max plus one held-out)"
             )
 
     rows = []
-    for n0 in range(config.n0_min, config.n0_max + 1):
-        for trial in range(config.trials):
-            rng = np.random.default_rng([config.seed, n0, trial])
+    for n0 in range(n0_min, n0_max + 1):
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, n0, trial])
             key = fixed_key if fixed_key is not None else random_key(rng)
             if corpus is None:
-                plains = [
-                    _random_image(rng, config.height, config.width) for _ in range(n0 + 1)
-                ]
+                plains = [_random_image(rng, height, width) for _ in range(n0 + 1)]
             else:
                 picks = rng.choice(len(corpus), size=n0 + 1, replace=False)
                 plains = [corpus[i] for i in picks]
@@ -201,9 +193,9 @@ def run_sweep(config: ExperimentConfig) -> list[str]:
             estimate, report = attack(pairs, mode="bit")
             recovered = _decrypt_with_map(estimate, encrypt(held_out, key))
             summary, _ = compare_images(recovered, held_out)
-            truth = compose_permutation(key, config.height, config.width)
+            truth = compose_permutation(key, height, width)
             rows.append(
-                f"{config.seed},{n0},{trial},"
+                f"{seed},{n0},{trial},"
                 f"{summary.bit_accuracy:.6f},{summary.pixel_accuracy:.6f},"
                 f"{perm_accuracy(estimate, truth):.6f},"
                 f"{report.singleton_fraction:.6f},{report.residual_log2:.6f},"
@@ -213,7 +205,7 @@ def run_sweep(config: ExperimentConfig) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    config = ExperimentConfig(
+    rows = run_sweep(
         height=args.height,
         width=args.width,
         n0_min=args.n0_min,
@@ -222,11 +214,9 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         key_file=args.key,
         corpus_dir=args.corpus,
-        out_dir=args.out,
     )
-    rows = run_sweep(config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    out_path = os.path.join(config.out_dir, "sweep.csv")
+    os.makedirs(args.out, exist_ok=True)
+    out_path = os.path.join(args.out, "sweep.csv")
     with open(out_path, "w", encoding="ascii") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
         fh.write("\n".join(rows) + "\n")

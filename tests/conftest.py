@@ -15,6 +15,22 @@ def random_image(rng: np.random.Generator, height: int, width: int) -> np.ndarra
     return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
 
 
+def naive_median_3x3(img) -> np.ndarray:
+    """Per-pixel 3x3 median: the window is clamped to the image, so edge
+    pixels repeat, and the median is the middle of the 9 sorted values."""
+    height, width = img.shape
+    out = np.empty_like(img)
+    for i in range(height):
+        for j in range(width):
+            window = [
+                int(img[min(max(i + di, 0), height - 1), min(max(j + dj, 0), width - 1)])
+                for di in (-1, 0, 1)
+                for dj in (-1, 0, 1)
+            ]
+            out[i, j] = sorted(window)[4]
+    return out
+
+
 def folded_step(x: float, mu: float) -> float:
     """One logistic-map step mu*x*(1-x), taken at the upper member of
     {x, 1-x} as the keystream does, so mirrored seeds agree bit-exactly."""

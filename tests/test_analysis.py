@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from pytest import approx
 
-from conftest import pixel_error_bit_pmf, random_image
+from conftest import naive_median_3x3, pixel_error_bit_pmf, random_image
 from permbreak.analysis import (
     bit_histogram,
     compare_images,
@@ -21,6 +21,11 @@ from permbreak.recovery import error_bit_pmf, predicted_bit_accuracy
 REFERENCE_KEY = Key(0.2009, 3.98, 20, 51, 4)
 
 images_6x6 = arrays(dtype=np.uint8, shape=(6, 6), elements=st.integers(0, 255))
+images_up_to_8x8 = arrays(
+    dtype=np.uint8,
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    elements=st.integers(0, 255),
+)
 
 
 class TestCompareImages:
@@ -157,6 +162,13 @@ class TestMedianFilter:
         out = median_filter_3x3(img)
         assert out.dtype == np.uint8
         assert out.shape == img.shape
+
+    @given(images_up_to_8x8)
+    @example(np.array([[9]], dtype=np.uint8))
+    @example(np.array([[5, 200, 3, 90, 90, 0, 255, 17]], dtype=np.uint8))
+    @example(np.array([[5, 200, 3, 90, 90, 0, 255, 17]], dtype=np.uint8).T)
+    def test_matches_naive_median(self, img):
+        assert np.array_equal(median_filter_3x3(img), naive_median_3x3(img))
 
 
 class TestBitHistogram:

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +11,12 @@ import pytest
 from conftest import random_image
 from permbreak.analysis import perm_accuracy
 from permbreak.cipher import compose_permutation, load_permutation
-from permbreak.cli import ExperimentConfig, main, run_sweep
+from permbreak.cli import main, run_sweep
 from permbreak.keystream import parse_key
 from permbreak.pgm import read_pgm, write_pgm
 
 KEY_LINE = "0.2009 3.98 20 51 4"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -134,14 +139,12 @@ class TestSweep:
 
     def test_threshold_row_beats_coin_flipping(self):
         # at the minimum useful pair count the recovered bits are mostly right
-        config = ExperimentConfig(height=8, width=8, n0_min=10, n0_max=10, trials=20, seed=42)
-        rows = run_sweep(config)
+        rows = run_sweep(height=8, width=8, n0_min=10, n0_max=10, trials=20, seed=42)
         accuracies = [float(r.split(",")[3]) for r in rows]
         assert np.mean(accuracies) > 0.5
 
     def test_mean_accuracies_rise_with_more_pairs(self):
-        config = ExperimentConfig(height=8, width=8, n0_min=6, n0_max=10, trials=20, seed=42)
-        rows = run_sweep(config)
+        rows = run_sweep(height=8, width=8, n0_min=6, n0_max=10, trials=20, seed=42)
         by_n0: dict[int, list[list[float]]] = {}
         for row in rows:
             fields = row.split(",")
@@ -153,10 +156,7 @@ class TestSweep:
             assert np.all(later >= earlier)
 
     def test_fixed_key_file_is_honoured(self, tmp_path, key_file):
-        config = ExperimentConfig(
-            height=4, width=4, n0_min=3, n0_max=3, trials=2, seed=1, key_file=key_file
-        )
-        rows = run_sweep(config)
+        rows = run_sweep(height=4, width=4, n0_min=3, n0_max=3, trials=2, seed=1, key_file=key_file)
         assert len(rows) == 2
 
     def test_corpus_mode_reads_directory(self, tmp_path):
@@ -165,20 +165,19 @@ class TestSweep:
         rng = np.random.default_rng(11)
         for i in range(6):
             write_pgm(corpus / f"img_{i}.pgm", random_image(rng, 4, 4))
-        config = ExperimentConfig(
+        rows = run_sweep(
             height=4, width=4, n0_min=3, n0_max=3, trials=2, seed=1, corpus_dir=str(corpus)
         )
-        assert len(run_sweep(config)) == 2
+        assert len(rows) == 2
 
     def test_corpus_too_small_is_rejected(self, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         write_pgm(corpus / "only.pgm", np.zeros((4, 4), dtype=np.uint8))
-        config = ExperimentConfig(
-            height=4, width=4, n0_min=3, n0_max=3, trials=1, seed=1, corpus_dir=str(corpus)
-        )
         with pytest.raises(ValueError, match="corpus"):
-            run_sweep(config)
+            run_sweep(
+                height=4, width=4, n0_min=3, n0_max=3, trials=1, seed=1, corpus_dir=str(corpus)
+            )
 
     @pytest.mark.parametrize(
         "bad",
@@ -189,11 +188,15 @@ class TestSweep:
             dict(height=0),
         ],
     )
-    def test_config_validation(self, bad):
+    def test_config_validation(self, bad, monkeypatch):
+        # the checks run before any work: a trial would have to build a key
+        monkeypatch.setattr(
+            "permbreak.cli.random_key", lambda rng: pytest.fail("sweep ran before its checks")
+        )
         fields = dict(height=4, width=4, n0_min=3, n0_max=4, trials=2, seed=0)
         fields.update(bad)
         with pytest.raises(ValueError):
-            ExperimentConfig(**fields)
+            run_sweep(**fields)
 
 
 class TestDiagnostics:
@@ -217,3 +220,24 @@ class TestDiagnostics:
         total_a = sum(int(r[2]) for r in rows[1:])
         total_b = sum(int(r[3]) for r in rows[1:])
         assert total_a == total_b == 10_000
+
+
+class TestStartup:
+    @staticmethod
+    def loaded_packages(statement: str) -> set[str]:
+        """Top-level packages loaded by a fresh interpreter that runs statement."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        code = f"import sys; {statement}; print(*sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return {name.split(".")[0] for name in result.stdout.split()}
+
+    def test_cli_import_loads_nothing_beyond_numpy(self):
+        # a NumPy-only interpreter absorbs what the site hooks load
+        extra = (
+            self.loaded_packages("import permbreak.cli")
+            - self.loaded_packages("import numpy")
+            - set(sys.stdlib_module_names)
+        )
+        assert extra == {"permbreak"}
