@@ -15,12 +15,17 @@ equivalent decryption key.  That map is also the implementation:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .keystream import Key, build_schedule
+
+# Lines of a map file formatted per write: large enough that the per-chunk
+# cost vanishes, small enough that the Python ints of one chunk stay small.
+MAP_CHUNK_LINES = 4096
 
 
 class ShapeError(ValueError):
@@ -78,9 +83,16 @@ class PermutationMap:
     def __post_init__(self):
         n = self.rows * self.cols
         t = self.target
+        if t.dtype.kind not in "iu":
+            raise ShapeError(f"target must hold integers, got dtype {t.dtype}")
         if t.shape != (n,):
             raise ShapeError(f"target must be flat of length {n}, got shape {t.shape}")
-        if not np.array_equal(np.sort(t), np.arange(n)):
+        if ((t < 0) | (t >= n)).any():
+            raise ShapeError(f"target has an entry outside [0, {n})")
+        # n in-range entries that hit every cell hit each cell exactly once.
+        seen = np.zeros(n, dtype=bool)
+        seen[t] = True
+        if not seen.all():
             raise ShapeError("target does not define a bijection on the grid")
 
 
@@ -144,30 +156,39 @@ def apply_inverse(pmap: PermutationMap, grid) -> np.ndarray:
 
 
 def save_permutation(pmap: PermutationMap, path) -> None:
-    """Write a map as text: header ``rows cols``, then one ``i l i' l'`` per line."""
-    size = pmap.rows * pmap.cols
-    src = np.arange(size, dtype=np.int64)
-    quads = np.column_stack(
-        (
-            src // pmap.cols,
-            src % pmap.cols,
-            pmap.target // pmap.cols,
-            pmap.target % pmap.cols,
-        )
-    )
+    """Write a map as text: header ``rows cols``, then one ``i l i' l'`` per line.
+
+    The bytes are those ``np.savetxt(fmt="%d")`` writes (single spaces, ``\\n``
+    endings, no padding), formatted one chunk of lines per ``%`` call.
+    """
+    cols = pmap.cols
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{pmap.rows} {pmap.cols}\n")
-        np.savetxt(fh, quads, fmt="%d")
+        fh.write(f"{pmap.rows} {cols}\n")
+        for start in range(0, pmap.target.size, MAP_CHUNK_LINES):
+            dst = pmap.target[start : start + MAP_CHUNK_LINES]
+            src = np.arange(start, start + dst.size, dtype=np.int64)
+            quads = np.column_stack((src // cols, src % cols, dst // cols, dst % cols))
+            fh.write(("%d %d %d %d\n" * dst.size) % tuple(quads.ravel().tolist()))
 
 
 def load_permutation(path) -> PermutationMap:
     """Inverse of :func:`save_permutation`."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ShapeError("permutation file must start with a 'rows cols' header line")
+        line = fh.readline()
+        header = line.split()
+        if len(header) != 2 or not all(f.isdigit() and int(f) >= 1 for f in header):
+            raise ShapeError(
+                f"permutation file must start with a 'rows cols' header of two integers >= 1, "
+                f"got {line.strip()!r}"
+            )
         rows, cols = int(header[0]), int(header[1])
-        quads = np.loadtxt(fh, dtype=np.int64, ndmin=2)
+        # loadtxt warns on input without data, so look for a data line first.
+        first = next((text for text in fh if text.strip()), None)
+        quads = (
+            np.empty((0, 4), dtype=np.int64)
+            if first is None
+            else np.loadtxt(itertools.chain([first], fh), dtype=np.int64, ndmin=2, comments=None)
+        )
     if quads.shape != (rows * cols, 4):
         raise ShapeError(
             f"expected {rows * cols} quadruples of 4 fields, got shape {quads.shape}"

@@ -1,3 +1,5 @@
+import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -276,6 +278,20 @@ class TestPermutationMap:
         with pytest.raises(ShapeError):
             PermutationMap(1, 4, np.array([0, 0, 1, 2]))
 
+    @pytest.mark.parametrize(
+        "target",
+        [np.array([0.0, 1.0]), np.array([True, False])],
+        ids=["float", "bool"],
+    )
+    def test_rejects_non_integer_target(self, target):
+        with pytest.raises(ShapeError, match="integers"):
+            PermutationMap(1, 2, target)
+
+    @pytest.mark.parametrize("target", [[0, -1, 2], [0, 1, 3]], ids=["negative", "past_end"])
+    def test_rejects_entry_outside_grid(self, target):
+        with pytest.raises(ShapeError, match=r"outside \[0, 3\)"):
+            PermutationMap(1, 3, np.array(target, dtype=np.int64))
+
     def test_rejects_mismatched_grid(self):
         pmap = PermutationMap(2, 8, np.arange(16, dtype=np.int64))
         with pytest.raises(ShapeError):
@@ -283,12 +299,15 @@ class TestPermutationMap:
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
-        pmap = compose_permutation(random_key(rng), 3, 2)
-        path = tmp_path / "map.txt"
-        save_permutation(pmap, path)
-        loaded = load_permutation(path)
-        assert loaded.rows == pmap.rows and loaded.cols == pmap.cols
-        assert np.array_equal(loaded.target, pmap.target)
+        # 37x37 pixels is 10952 lines: more than two chunks of the writer
+        # and not a multiple of its chunk length.
+        for height, width in ((3, 2), (37, 37)):
+            pmap = compose_permutation(random_key(rng), height, width)
+            path = tmp_path / "map.txt"
+            save_permutation(pmap, path)
+            loaded = load_permutation(path)
+            assert loaded.rows == pmap.rows and loaded.cols == pmap.cols
+            assert np.array_equal(loaded.target, pmap.target)
 
     def test_saved_header_and_quadruples(self, tmp_path):
         pmap = PermutationMap(1, 8, np.roll(np.arange(8, dtype=np.int64), -1))
@@ -298,6 +317,52 @@ class TestPermutationMap:
         assert lines[0] == "1 8"
         assert lines[1].split() == ["0", "0", "0", "1"]
         assert len(lines) == 9
+
+    # sha256 of save_permutation's output, recorded with the np.savetxt writer.
+    @pytest.mark.parametrize(
+        "make, head, digest",
+        [
+            (
+                lambda: compose_permutation(REFERENCE_KEY, 37, 37),
+                b"37 296\n0 0 35 75\n",
+                "95fcba01ca4d034b7937f2473ec807b7707edcdfc1010ec63bbacdacc408f5c6",
+            ),
+            (
+                lambda: PermutationMap(1, 1, np.arange(1, dtype=np.int64)),
+                b"1 1\n0 0 0 0\n",
+                "d57dde15b8c3ea6c108742be0146611a65fc342e67ef6343ea726a6432240ade",
+            ),
+            (
+                lambda: PermutationMap(1, 8, np.roll(np.arange(8, dtype=np.int64), -1)),
+                b"1 8\n0 0 0 1\n",
+                "f7bb8df561c7987d649b277d2ec9b8b6950c007e4a2e4f0026dd5aaa3d2ae563",
+            ),
+        ],
+        ids=["37x37_three_chunks", "1x1_identity", "1x8_roll"],
+    )
+    def test_saved_bytes_match_golden(self, tmp_path, make, head, digest):
+        path = tmp_path / "map.txt"
+        save_permutation(make(), path)
+        data = path.read_bytes()
+        assert data.startswith(head)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("header", ["0 5", "-1 -1", "a b", "2", "2 8 1", "", "1_0 8"])
+    def test_load_rejects_bad_header(self, tmp_path, header):
+        path = tmp_path / "map.txt"
+        path.write_text(header + "\n0 0 0 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match=f"header of two integers >= 1, got '{header}'"):
+                load_permutation(path)
+
+    def test_load_rejects_missing_body_without_warning(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("1 8\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="expected 8 quadruples"):
+                load_permutation(path)
 
     def test_load_rejects_truncated_file(self, tmp_path):
         path = tmp_path / "map.txt"
@@ -330,3 +395,52 @@ class TestPermutationMap:
         path.write_text("1 2\n0 0 0 1\n0 0 0 1\n")
         with pytest.raises(ShapeError, match=r"quadruple 2 \(0 0 0 1\) repeats"):
             load_permutation(path)
+
+
+@st.composite
+def mutated_map_text(draw, text):
+    """One mutation of a saved map file's text."""
+    lines = text.splitlines()
+    rows, cols = (int(v) for v in lines[0].split())
+    token = st.one_of(
+        st.integers(-10, -1).map(str),
+        st.integers(max(rows, cols), 10**20).map(str),
+        st.sampled_from(["", "x", "1.5", "0x1", "1e3", "nan", "#", "+1", "٣", "\x00"]),
+    )
+    kind = draw(st.sampled_from(["truncate", "drop", "duplicate", "field", "header"]))
+    line = draw(st.integers(1, len(lines) - 1))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text)))]
+    if kind == "drop":
+        lines = lines[:line] + lines[line + 1 :]
+    elif kind == "duplicate":
+        lines = lines[: line + 1] + lines[line:]
+    elif kind == "field":
+        fields = lines[line].split(" ")
+        fields[draw(st.integers(0, 3))] = draw(token)
+        lines[line] = " ".join(fields)
+    else:
+        header_token = st.one_of(st.integers(0, 5).map(str), token)
+        lines[0] = " ".join(draw(st.lists(header_token, max_size=3)))
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadPermutationFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_is_rejected_or_loads_its_header_shape(self, tmp_path_factory, data):
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        target = np.array(data.draw(st.permutations(range(rows * cols))), dtype=np.int64)
+        path = tmp_path_factory.mktemp("fuzz") / "map.txt"
+        save_permutation(PermutationMap(rows, cols, target), path)
+        text = data.draw(mutated_map_text(path.read_text()))
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                pmap = load_permutation(path)
+            except ValueError:  # ShapeError, or a decode error; the CLI reports both
+                return
+        rows, cols = (int(v) for v in text.split("\n", 1)[0].split())
+        assert (pmap.rows, pmap.cols) == (rows, cols)
+        assert np.array_equal(np.sort(pmap.target), np.arange(rows * cols))
