@@ -55,16 +55,6 @@ def perm_accuracy(estimate: PermutationMap, truth: PermutationMap) -> float:
     return float(np.mean(estimate.target == truth.target))
 
 
-def difference_histogram(recovered, original) -> np.ndarray:
-    """Counts of signed pixel differences; entry d+255 holds difference d."""
-    rec = _as_image(recovered)
-    org = _as_image(original)
-    if rec.shape != org.shape:
-        raise ShapeError(f"image shapes differ: {rec.shape} vs {org.shape}")
-    diff = rec.astype(np.int16) - org.astype(np.int16)
-    return np.bincount((diff + 255).reshape(-1), minlength=511)
-
-
 def median_filter_3x3(img) -> np.ndarray:
     """3x3 median smoothing with edge replication; knocks out isolated
     wrong pixels in a recovered image.

@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .keystream import Key, build_schedule
+from .pgm import _path_in_errors
 
 # Lines of a map file formatted per write: large enough that the per-chunk
 # cost vanishes, small enough that the Python ints of one chunk stay small.
@@ -32,26 +33,27 @@ class ShapeError(ValueError):
     """Operands with incompatible or invalid dimensions."""
 
 
+def _as_grid(grid, levels: int) -> np.ndarray:
+    """The one check of a grid of L-level values: the M x 8N bit grid
+    (L = 2), the M x N pixel grid (L = 256) or a recovery-tree grid.
+
+    Accepts only a non-empty 2-D array of integer dtype (bool counts as 0/1)
+    with every entry in [0, levels), and returns it uncopied.
+    """
+    arr = np.asarray(grid)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ShapeError(f"grid must be a non-empty 2-D array, got shape {arr.shape}")
+    kind = arr.dtype.kind
+    # Bool is 0/1 already and uint8 cannot pass 255: no pass over the data.
+    if kind == "b" or (levels > 255 and arr.dtype == np.uint8):
+        return arr
+    if kind not in "iu" or (kind == "i" and arr.min() < 0) or arr.max() >= levels:
+        raise ShapeError(f"grid values must be integers in [0, {levels})")
+    return arr
+
+
 def _as_image(img) -> np.ndarray:
-    arr = np.asarray(img)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ShapeError(f"image must be a non-empty 2-D array, got shape {arr.shape}")
-    if arr.dtype != np.uint8:
-        if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > 255:
-            raise ShapeError("image values must be integers in [0, 255]")
-        arr = arr.astype(np.uint8)
-    return arr
-
-
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ShapeError(f"bit matrix must be a non-empty 2-D array, got shape {arr.shape}")
-    if arr.dtype != np.uint8:
-        arr = arr.astype(np.uint8)
-    if arr.max() > 1:
-        raise ShapeError("bit matrix entries must be 0 or 1")
-    return arr
+    return _as_grid(img, 256).astype(np.uint8, copy=False)
 
 
 def expand_to_bits(img) -> np.ndarray:
@@ -61,7 +63,7 @@ def expand_to_bits(img) -> np.ndarray:
 
 def pack_to_image(bits) -> np.ndarray:
     """Exact inverse of :func:`expand_to_bits`."""
-    arr = _as_bits(bits)
+    arr = _as_grid(bits, 2)
     if arr.shape[1] % 8 != 0:
         raise ShapeError(f"bit matrix width must be a multiple of 8, got {arr.shape[1]}")
     return np.packbits(arr, axis=1, bitorder="little")
@@ -171,6 +173,7 @@ def save_permutation(pmap: PermutationMap, path) -> None:
             fh.write(("%d %d %d %d\n" * dst.size) % tuple(quads.ravel().tolist()))
 
 
+@_path_in_errors
 def load_permutation(path) -> PermutationMap:
     """Inverse of :func:`save_permutation`."""
     with open(path, "r", encoding="ascii") as fh:

@@ -31,15 +31,8 @@ from .cipher import (
     pack_to_image,
     save_permutation,
 )
-from .keystream import (
-    EmptySegment,
-    InvalidKeyDomain,
-    Key,
-    parse_key,
-    random_key,
-    trajectory_histogram,
-)
-from .pgm import read_pgm, write_pgm
+from .keystream import Key, parse_key, random_key, trajectory_histogram
+from .pgm import _path_in_errors, read_pgm, write_pgm
 from .recovery import InconsistentPair, attack, construct_chosen_plaintexts
 
 # Trajectory defaults: a classic weak control parameter with two probe seeds.
@@ -54,11 +47,13 @@ SWEEP_CSV_HEADER = (
 )
 
 
+@_path_in_errors
 def _load_key(path: str) -> Key:
     with open(path, "r", encoding="ascii") as fh:
         return parse_key(fh.read())
 
 
+@_path_in_errors
 def _read_manifest(path: str) -> list[tuple[str, str]]:
     base = os.path.dirname(os.path.abspath(path))
     pairs = []
@@ -69,9 +64,7 @@ def _read_manifest(path: str) -> list[tuple[str, str]]:
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
-                raise ValueError(
-                    f"{path}:{line_no}: expected 'plain<TAB>cipher', got {line!r}"
-                )
+                raise ValueError(f"line {line_no}: expected 'plain<TAB>cipher', got {line!r}")
             pairs.append(tuple(os.path.join(base, f) if not os.path.isabs(f) else f for f in fields))
     return pairs
 
@@ -323,7 +316,7 @@ def main(argv=None) -> int:
         where = f" (pair #{exc.pair_index})" if exc.pair_index is not None else ""
         print(f"error: inconsistent pair{where}: {exc}", file=sys.stderr)
         return 1
-    except (InvalidKeyDomain, EmptySegment, ShapeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

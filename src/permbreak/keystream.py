@@ -27,10 +27,6 @@ class InvalidKeyDomain(ValueError):
     """A key component lies outside its admissible interval."""
 
 
-class EmptySegment(ValueError):
-    """Rank ordering requested for a zero-length segment."""
-
-
 @dataclass(frozen=True)
 class Key:
     """Five-component secret key of the permutation cipher.
@@ -92,20 +88,6 @@ def generate_sequence(key: Key, length: int) -> np.ndarray:
     return out
 
 
-def rank_vector(segment) -> np.ndarray:
-    """Indices of the segment's elements from largest to smallest.
-
-    indices[i] is the position of the (i+1)-th largest sample; equal samples
-    keep their original left-to-right order.
-    """
-    seg = np.asarray(segment, dtype=np.float64)
-    if seg.ndim != 1:
-        raise ValueError(f"segment must be one-dimensional, got shape {seg.shape}")
-    if seg.size == 0:
-        raise EmptySegment("cannot rank an empty segment")
-    return np.argsort(-seg, kind="stable")
-
-
 def build_schedule(key: Key, rows: int, cols: int):
     """Derive one round's permutation schedule for a rows x cols grid.
 
@@ -119,7 +101,8 @@ def build_schedule(key: Key, rows: int, cols: int):
         raise ValueError("schedule needs rows >= 1 and cols >= 1")
     length = max(key.row_offset + rows, key.col_offset + rows * cols)
     v = generate_sequence(key, length)
-    row_perm = rank_vector(v[key.row_offset : key.row_offset + rows])
+    # Rank from largest to smallest sample; ties keep left-to-right order.
+    row_perm = np.argsort(-v[key.row_offset : key.row_offset + rows], kind="stable")
     col_segments = v[key.col_offset : key.col_offset + rows * cols].reshape(rows, cols)
     col_perms = np.argsort(-col_segments, axis=1, kind="stable")
     return row_perm, col_perms, float(v[-1])
@@ -168,9 +151,12 @@ def parse_key(text: str) -> Key:
         )
     try:
         x0, mu = float(fields[0]), float(fields[1])
-        m, n, t = int(fields[2]), int(fields[3]), int(fields[4])
     except ValueError as exc:
         raise InvalidKeyDomain(f"malformed key line: {exc}") from exc
+    # int() would also take '+1', '1_0' and non-ASCII digits.
+    if not all(f.isascii() and f.isdigit() for f in fields[2:]):
+        raise InvalidKeyDomain(f"malformed key line: m n T must be ASCII digits, got {fields[2:]}")
+    m, n, t = (int(f) for f in fields[2:])
     return Key(x0=x0, mu=mu, row_offset=m, col_offset=n, rounds=t)
 
 

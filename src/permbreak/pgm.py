@@ -1,8 +1,29 @@
-"""Binary PGM (P5, maxval 255) reading and writing."""
+"""Binary PGM (P5, maxval 255) reading and writing, and the error rule of
+every file reader: a bad file raises a ValueError that starts with its path."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+
+def _path_in_errors(read):
+    """Make every ValueError of ``read(path)`` start with the path, keeping its
+    class; a decoding error, whose message is fixed, becomes a ValueError."""
+
+    @functools.wraps(read)
+    def reader(path):
+        try:
+            return read(path)
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start]
+            raise ValueError(f"{path}: not {exc.encoding} text: byte {bad:#04x}") from None
+        except ValueError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+
+    return reader
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -25,6 +46,7 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
+@_path_in_errors
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM file into an M x N uint8 array."""
     with open(path, "rb") as fh:
@@ -32,10 +54,13 @@ def read_pgm(path) -> np.ndarray:
     magic, pos = _read_token(data, 0)
     if magic != b"P5":
         raise ValueError(f"not a binary PGM (P5) file: magic {magic!r}")
-    width_tok, pos = _read_token(data, pos)
-    height_tok, pos = _read_token(data, pos)
-    maxval_tok, pos = _read_token(data, pos)
-    width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
+    fields = []
+    for name in ("width", "height", "maxval"):
+        token, pos = _read_token(data, pos)
+        if not token.isdigit():  # bytes: ASCII digits only, no sign or '_'
+            raise ValueError(f"PGM {name} must be ASCII digits, got {token!r}")
+        fields.append(int(token))
+    width, height, maxval = fields
     if maxval != 255:
         raise ValueError(f"only maxval 255 is supported, got {maxval}")
     if width < 1 or height < 1:

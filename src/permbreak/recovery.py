@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cipher import PermutationMap, ShapeError, _as_image, expand_to_bits, pack_to_image
+from .cipher import PermutationMap, ShapeError, _as_grid, _as_image, expand_to_bits, pack_to_image
 
 
 class InconsistentPair(ValueError):
@@ -70,17 +70,6 @@ class RecoveryTree:
         self._label = np.zeros(len(self._plain), dtype=np.int64)
         self.positions_processed = 0
 
-    def _check_grid(self, grid, side: str) -> np.ndarray:
-        g = np.asarray(grid)
-        if g.shape != (self.rows, self.cols):
-            raise ShapeError(
-                f"{side} grid shape {g.shape} does not match tree grid {self.rows}x{self.cols}"
-            )
-        flat = g.reshape(-1)
-        if flat.min() < 0 or flat.max() >= self.arity:
-            raise ValueError(f"{side} grid values must lie in [0, {self.arity})")
-        return flat
-
     def refine(self, plain, cipher) -> None:
         """Split every multi-position leaf by element value, using one pair.
 
@@ -91,8 +80,13 @@ class RecoveryTree:
         and InconsistentPair is raised with the tree untouched.  Pinned
         positions are skipped: they can never split again.
         """
-        pflat = self._check_grid(plain, "plain")
-        cflat = self._check_grid(cipher, "cipher")
+        pgrid, cgrid = _as_grid(plain, self.arity), _as_grid(cipher, self.arity)
+        if not pgrid.shape == cgrid.shape == (self.rows, self.cols):
+            raise ShapeError(
+                f"plain/cipher grid shapes {pgrid.shape}/{cgrid.shape} do not match "
+                f"tree grid {self.rows}x{self.cols}"
+            )
+        pflat, cflat = pgrid.reshape(-1), cgrid.reshape(-1)
 
         base = self._label * self.arity
         pkey = base + pflat[self._plain]
@@ -298,20 +292,14 @@ def attack(pairs, mode: str = "bit") -> tuple[PermutationMap, AttackReport]:
         raise ValueError("attack needs at least one plain/cipher pair")
 
     start = time.perf_counter()
-    images = [(_as_image(p), _as_image(c)) for p, c in pairs]
-    shape = images[0][0].shape
-    for plain_img, cipher_img in images:
-        if plain_img.shape != shape or cipher_img.shape != shape:
-            raise ShapeError("all pair images must share one shape")
-
     if mode == "bit":
-        grids = [(expand_to_bits(p), expand_to_bits(c)) for p, c in images]
+        grids = [(expand_to_bits(p), expand_to_bits(c)) for p, c in pairs]
         arity = 2
     else:
-        grids = images
+        grids = [(_as_image(p), _as_image(c)) for p, c in pairs]
         arity = 256
     rows, cols = grids[0][0].shape
-
+    # refine rejects every grid whose shape differs from the first one's.
     tree = RecoveryTree(rows, cols, arity)
     for index, (plain_grid, cipher_grid) in enumerate(grids):
         try:

@@ -10,7 +10,6 @@ from permbreak.analysis import (
     bit_histogram,
     compare_images,
     demonstrate_equivalent_key,
-    difference_histogram,
     median_filter_3x3,
     perm_accuracy,
 )
@@ -122,25 +121,6 @@ class TestPermAccuracy:
                 PermutationMap(1, 8, np.arange(8, dtype=np.int64)),
                 PermutationMap(2, 8, np.arange(16, dtype=np.int64)),
             )
-
-
-class TestDifferenceHistogram:
-    def test_identical_images_pile_at_zero(self):
-        img = random_image(np.random.default_rng(4), 6, 6)
-        hist = difference_histogram(img, img)
-        assert hist[255] == 36
-        assert hist.sum() == 36
-
-    def test_extreme_difference(self):
-        zeros = np.zeros((3, 3), dtype=np.uint8)
-        full = np.full((3, 3), 255, dtype=np.uint8)
-        hist = difference_histogram(full, zeros)
-        assert hist[510] == 9
-        assert hist.sum() == 9
-
-    @given(a=images_6x6, b=images_6x6)
-    def test_swapping_arguments_mirrors_bins(self, a, b):
-        assert np.array_equal(difference_histogram(a, b), difference_histogram(b, a)[::-1])
 
 
 class TestMedianFilter:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 from dataclasses import replace
 
@@ -67,6 +68,24 @@ class TestBitExpansion:
     def test_expand_rejects_out_of_range_values(self):
         with pytest.raises(ShapeError):
             expand_to_bits([[256]])
+
+    @pytest.mark.parametrize("value", [0.9, 1.7, -1])
+    def test_pack_rejects_non_bit_entries(self, value):
+        # a cast before the check would pack 0.9 to [[0]] and 1.7 to [[255]]
+        with pytest.raises(ShapeError):
+            pack_to_image(np.full((1, 8), value))
+
+    @pytest.mark.parametrize("img", [[[5.0]], [[-1]], [[]], [5]])
+    def test_expand_rejects_non_image_grids(self, img):
+        with pytest.raises(ShapeError):
+            expand_to_bits(np.asarray(img))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16, bool])
+    def test_integer_and_bool_grids_act_like_uint8(self, dtype):
+        bits = np.array([[1, 0, 1, 0, 0, 0, 0, 1]])
+        assert pack_to_image(bits.astype(dtype)).tolist() == [[133]]
+        img = np.array([[100, 1, 0]]).astype(dtype)
+        assert expand_to_bits(img).tolist() == expand_to_bits(img.astype(np.uint8)).tolist()
 
 
 class TestRounds:
@@ -393,7 +412,14 @@ class TestPermutationMap:
     def test_load_rejects_duplicated_source_line(self, tmp_path):
         path = tmp_path / "map.txt"
         path.write_text("1 2\n0 0 0 1\n0 0 0 1\n")
-        with pytest.raises(ShapeError, match=r"quadruple 2 \(0 0 0 1\) repeats"):
+        message = rf"^{re.escape(str(path))}: quadruple 2 \(0 0 0 1\) repeats"
+        with pytest.raises(ShapeError, match=message):
+            load_permutation(path)
+
+    def test_load_rejects_non_ascii_byte_naming_the_file(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("1 2\n0 0 0 1\n0 \u0663 0 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not ascii text: byte 0xd9"):
             load_permutation(path)
 
 
@@ -439,7 +465,8 @@ class TestLoadPermutationFuzz:
             warnings.simplefilter("error")
             try:
                 pmap = load_permutation(path)
-            except ValueError:  # ShapeError, or a decode error; the CLI reports both
+            except ValueError as exc:  # ShapeError, or a decode error; the CLI reports both
+                assert str(exc).startswith(f"{path}: ")
                 return
         rows, cols = (int(v) for v in text.split("\n", 1)[0].split())
         assert (pmap.rows, pmap.cols) == (rows, cols)

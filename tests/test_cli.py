@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_image
 from permbreak.analysis import perm_accuracy
 from permbreak.cipher import compose_permutation, load_permutation
-from permbreak.cli import main, run_sweep
+from permbreak.cli import _read_manifest, main, run_sweep
 from permbreak.keystream import parse_key
 from permbreak.pgm import read_pgm, write_pgm
 
@@ -127,6 +129,79 @@ class TestGenChosenAndAttack:
         assert "pair #1" in capsys.readouterr().err
 
 
+class TestFileErrors:
+    """A bad input file makes one error line that starts with its path."""
+
+    def test_short_image_in_manifest_is_named(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.pgm", tmp_path / "bad.pgm"
+        write_pgm(good, np.zeros((2, 2), dtype=np.uint8))
+        bad.write_bytes(good.read_bytes()[:-1])
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text("good.pgm\tbad.pgm\n")
+        assert main(["attack-known", str(manifest), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: PGM raster shorter than header promises\n"
+
+    @pytest.mark.parametrize(
+        "content", [b"0.5 3.9 1\xd9 1 1\n", b"0.5 3.9 1_0 1 1\n", b"0.5 4.1 1 1 1\n"]
+    )
+    def test_bad_key_file_is_named(self, tmp_path, sample_image, capsys, content):
+        key = tmp_path / "key.txt"
+        key.write_bytes(content)
+        plain_path, _ = sample_image
+        assert main(["encrypt", plain_path, str(tmp_path / "out.pgm"), "--key", str(key)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"a.pgm\tb\xff.pgm\n", "not utf-8 text"), (b"a.pgm\tb.pgm\nc.pgm\n", "line 2: expected")],
+    )
+    def test_bad_manifest_is_named(self, tmp_path, capsys, content, message):
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_bytes(content)
+        assert main(["attack-known", str(manifest), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: {message}")
+
+
+@st.composite
+def mutated_manifest(draw):
+    """A valid manifest with one mutation: truncation, an inserted byte (not
+    UTF-8, NUL, tab or line break), or a duplicated, dropped or split line."""
+    names = st.sampled_from(["a.pgm", "sub/b.pgm", "/abs/c.pgm", "d e.pgm"])
+    lines = [f"{p}\t{c}".encode() for p, c in draw(st.lists(st.tuples(names, names), min_size=1))]
+    kind = draw(st.sampled_from(["truncate", "byte", "duplicate", "drop", "field"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "duplicate":
+        lines.insert(at, lines[at])
+    elif kind == "drop":
+        del lines[at]
+    elif kind == "field":
+        lines[at] = lines[at].replace(b"\t", b"", 1)
+    data = b"\n".join(lines) + b"\n"
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data)))]
+    if kind == "byte":
+        cut = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from([b"\xff", b"\xd9", b"\x00", b"\t", b"\r", b"\n"]))
+        return data[:cut] + byte + data[cut:]
+    return data
+
+
+class TestReadManifestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(content=mutated_manifest())
+    def test_mutated_manifest_is_rejected_or_lists_pairs(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("fuzz") / "pairs.tsv"
+        path.write_bytes(content)
+        try:
+            pairs = _read_manifest(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        for pair in pairs:
+            assert len(pair) == 2 and all(os.path.isabs(f) for f in pair)
+
+
 class TestSweep:
     def test_fixed_seed_is_byte_stable(self, tmp_path):
         args = [
@@ -214,7 +289,8 @@ class TestDiagnostics:
 
     def test_trajectory_csv_shape(self, tmp_path, key_file, capsys):
         main(["diagnostics", "--key", key_file, "--out", str(tmp_path)])
-        rows = list(csv.reader(open(tmp_path / "trajectory.csv")))
+        with open(tmp_path / "trajectory.csv") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["bin_lo", "bin_hi", "count_x0_0.3333", "count_x0_0.5656"]
         assert len(rows) == 51
         total_a = sum(int(r[2]) for r in rows[1:])

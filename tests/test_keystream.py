@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from conftest import folded_step, naive_rank
+from permbreak import keystream
 from permbreak.keystream import (
     MAX_OFFSET,
     MAX_ROUNDS,
     MU_MIN,
-    EmptySegment,
     InvalidKeyDomain,
     Key,
     build_schedule,
@@ -17,7 +17,6 @@ from permbreak.keystream import (
     generate_sequence,
     parse_key,
     random_key,
-    rank_vector,
     trajectory_histogram,
 )
 
@@ -101,6 +100,49 @@ class TestKeyDomain:
         with pytest.raises(InvalidKeyDomain):
             parse_key(line)
 
+    @pytest.mark.parametrize("field", ["1_0", "+10", "٣", "²", "-1", "10.0", "0x10"])
+    @pytest.mark.parametrize("position", [2, 3, 4])
+    def test_integer_fields_must_be_ascii_digits(self, field, position):
+        # int() alone would read '1_0' and '+10' as 10 and '٣' as 3
+        fields = "0.5 3.9 10 10 10".split()
+        fields[position] = field
+        with pytest.raises(InvalidKeyDomain, match="must be ASCII digits"):
+            parse_key(" ".join(fields))
+
+
+@st.composite
+def mutated_key_line(draw):
+    """One mutation of a valid key line: truncation, or a bad, duplicated
+    or dropped field."""
+    fields = format_key(random_key(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))).split()
+    kind = draw(st.sampled_from(["truncate", "token", "duplicate", "drop"]))
+    at = draw(st.integers(0, len(fields) - 1))
+    if kind == "token":
+        fields[at] = draw(
+            st.one_of(
+                st.sampled_from(["", "nan", "inf", "-0.5", "1e999", "1_0", "+1", "0x1", "٣"]),
+                st.integers(-5, 10**30).map(str),
+                st.floats(allow_nan=True).map(repr),
+            )
+        )
+    elif kind == "duplicate":
+        fields.insert(at, fields[at])
+    elif kind == "drop":
+        del fields[at]
+    line = " ".join(fields)
+    return line[: draw(st.integers(0, len(line)))] if kind == "truncate" else line
+
+
+class TestParseKeyFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_key_line())
+    def test_mutated_line_is_rejected_or_round_trips(self, line):
+        try:
+            key = parse_key(line)
+        except InvalidKeyDomain:
+            return
+        assert parse_key(format_key(key)) == key
+
 
 class TestGenerateSequence:
     def test_two_manual_iterations(self):
@@ -145,28 +187,39 @@ class TestGenerateSequence:
             generate_sequence(REFERENCE_KEY, 0)
 
 
+def row_ranking(segment) -> list[int]:
+    """build_schedule's row ranking when the orbit's row segment is ``segment``."""
+    orbit = np.concatenate(([0.5], np.asarray(segment, dtype=np.float64)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(keystream, "generate_sequence", lambda key, length: orbit[:length])
+        row_perm, _, _ = build_schedule(Key(0.5, 3.9, 1, 1, 1), len(segment), 1)
+    return row_perm.tolist()
+
+
 class TestRankVector:
+    """The row ranking of build_schedule: largest sample first."""
+
     def test_hand_sorted_example(self):
-        assert rank_vector([0.3, 0.9, 0.5]).tolist() == [1, 2, 0]
+        assert row_ranking([0.3, 0.9, 0.5]) == [1, 2, 0]
 
     def test_ties_break_to_earlier_index(self):
-        assert rank_vector([0.5, 0.5]).tolist() == [0, 1]
+        assert row_ranking([0.5, 0.5]) == [0, 1]
 
     def test_single_element(self):
-        assert rank_vector([0.7]).tolist() == [0]
+        assert row_ranking([0.7]) == [0]
 
     def test_empty_segment_rejected(self):
-        with pytest.raises(EmptySegment):
-            rank_vector([])
+        with pytest.raises(ValueError):
+            build_schedule(REFERENCE_KEY, 0, 8)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=64))
     def test_matches_selection_oracle(self, segment):
-        assert rank_vector(segment).tolist() == naive_rank(segment)
+        assert row_ranking(segment) == naive_rank(segment)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=64))
     def test_is_permutation_in_descending_value_order(self, segment):
-        indices = rank_vector(segment)
-        assert sorted(indices.tolist()) == list(range(len(segment)))
+        indices = row_ranking(segment)
+        assert sorted(indices) == list(range(len(segment)))
         ranked = np.asarray(segment)[indices]
         assert all(ranked[i] >= ranked[i + 1] for i in range(len(ranked) - 1))
 

@@ -155,6 +155,14 @@ class TestRefine:
         with pytest.raises(ValueError):
             tree.refine(np.full((2, 2), 3, dtype=np.uint8), np.full((2, 2), 3, dtype=np.uint8))
 
+    def test_rejects_float_grid(self):
+        # keyed as a value of its own, 0.5 would split the grid into 3 leaves
+        tree = RecoveryTree(1, 4, 2)
+        grid = np.array([[0.5, 0, 1, 0]])
+        with pytest.raises(ShapeError):
+            tree.refine(grid, grid)
+        assert tree.leaf_count == 1
+
     def test_rejects_wrong_grid_shape(self):
         tree = RecoveryTree(2, 8, 2)
         with pytest.raises(ShapeError):
