@@ -1,6 +1,7 @@
-"""Command-line front end: cipher I/O, attack pipelines, and experiment sweeps.
+"""Command-line front end: cipher I/O, attack pipelines, and experiments.
 
-Subcommands: encrypt, decrypt, attack-known, gen-chosen, sweep, diagnostics.
+Subcommands: encrypt, decrypt, attack-known, gen-chosen, sweep, diagnostics,
+demo.
 Images travel as binary PGM, keys as one-line text files ``x0 mu m n T``,
 pair manifests as tab-separated ``plain<TAB>cipher`` lines, and results as
 CSV.  Every command validates the key domain before doing any work, and all
@@ -19,6 +20,7 @@ from .analysis import (
     bit_histogram,
     compare_images,
     demonstrate_equivalent_key,
+    median_filter_3x3,
     perm_accuracy,
 )
 from .cipher import (
@@ -33,7 +35,7 @@ from .cipher import (
 )
 from .keystream import Key, parse_key, random_key, trajectory_histogram
 from .pgm import _path_in_errors, read_pgm, write_pgm
-from .recovery import InconsistentPair, attack, construct_chosen_plaintexts
+from .recovery import InconsistentPair, attack, construct_chosen_plaintexts, min_known_plaintexts
 
 # Trajectory defaults: a classic weak control parameter with two probe seeds.
 TRAJECTORY_MU = 3.5786
@@ -255,6 +257,52 @@ def cmd_diagnostics(args) -> int:
     return 0 if zero_fixed and mirrored_equal and histogram_invariant else 1
 
 
+def _structured_scene(size: int) -> np.ndarray:
+    """A gradient with a bright disc and a dark box: enough structure that
+    partial recovery is visible by eye.  Needs size >= 2."""
+    ramp = (np.arange(size) * 255 // (size - 1)).astype(np.uint8)
+    scene = np.tile(ramp, (size, 1))
+    yy, xx = np.mgrid[0:size, 0:size]
+    disc = (yy - size * 0.35) ** 2 + (xx - size * 0.4) ** 2 < (size * 0.2) ** 2
+    scene[disc] = 230
+    box = (yy > size * 0.6) & (yy < size * 0.9) & (xx > size * 0.55) & (xx < size * 0.85)
+    scene[box] = 25
+    return scene
+
+
+def cmd_demo(args) -> int:
+    size = args.size
+    # The lowest pair count, threshold - 4, is 0 at size 1.
+    if size < 2:
+        raise ValueError(f"demo needs --size >= 2, got {size}")
+    rng = np.random.default_rng(args.seed)
+    key = _load_key(args.key) if args.key else random_key(rng)
+    os.makedirs(args.out, exist_ok=True)
+    scene = _structured_scene(size)
+    scene_cipher = encrypt(scene, key)
+    write_pgm(os.path.join(args.out, "scene.pgm"), scene)
+    write_pgm(os.path.join(args.out, "scene_cipher.pgm"), scene_cipher)
+
+    truth = compose_permutation(key, size, size)
+    threshold = min_known_plaintexts(size, size)
+    print(f"grid {size}x{size}: useful recovery needs more than {threshold - 1} pairs")
+    print("n0,bit_accuracy,pixel_accuracy,perm_accuracy,one_bit_error_fraction")
+    for n0 in (threshold - 4, threshold, threshold + 5):
+        plains = [_random_image(rng, size, size) for _ in range(n0)]
+        estimate, _ = attack([(p, encrypt(p, key)) for p in plains], mode="bit")
+        recovered = _decrypt_with_map(estimate, scene_cipher)
+        summary, _ = compare_images(recovered, scene)
+        print(
+            f"{n0},{summary.bit_accuracy:.4f},{summary.pixel_accuracy:.4f},"
+            f"{perm_accuracy(estimate, truth):.4f},{summary.one_bit_error_fraction:.4f}"
+        )
+        stem = os.path.join(args.out, f"recovered_n{n0:02d}")
+        write_pgm(stem + ".pgm", recovered)
+        write_pgm(stem + "_median.pgm", median_filter_3x3(recovered))
+    print(f"images written to {args.out}/")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permbreak",
@@ -304,6 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="directory for trajectory.csv")
     p.set_defaults(func=cmd_diagnostics)
+
+    p = sub.add_parser("demo", help="known-plaintext recovery below, at and above the threshold")
+    p.add_argument("--size", type=int, default=32, help="square image side (default: %(default)s)")
+    p.add_argument("--key", help="key file; omitted draws a random key")
+    p.add_argument("--seed", type=int, default=2024, help="default: %(default)s")
+    p.add_argument("--out", default="demo_out", help="directory for the PGMs (default: %(default)s)")
+    p.set_defaults(func=cmd_demo)
 
     return parser
 

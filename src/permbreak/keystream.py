@@ -21,6 +21,10 @@ MU_MAX = 4.0
 # demanding an unbounded orbit (memory) or round count (time).
 MAX_OFFSET = 2**20
 MAX_ROUNDS = 64
+# Experiment keys (random_key) stay far below the caps: orbit generation is
+# linear in offset + grid size and must not dominate experiment time.
+RANDOM_KEY_MAX_OFFSET = 64
+RANDOM_KEY_MAX_ROUNDS = 4
 
 
 class InvalidKeyDomain(ValueError):
@@ -121,12 +125,8 @@ def trajectory_histogram(x0: float, mu: float, count: int, bins: int) -> np.ndar
     return counts
 
 
-def random_key(rng: np.random.Generator, max_offset: int = 64, max_rounds: int = 4) -> Key:
-    """Draw a uniformly random key, for experiments.
-
-    Offsets and round count stay small so that orbit generation, the cost of
-    which is linear in offset + grid size, does not dominate experiment time.
-    """
+def random_key(rng: np.random.Generator) -> Key:
+    """Draw a uniformly random key, for experiments."""
     x0 = float(rng.uniform(0.0, 1.0))
     while x0 == 0.0:
         x0 = float(rng.uniform(0.0, 1.0))
@@ -136,9 +136,9 @@ def random_key(rng: np.random.Generator, max_offset: int = 64, max_rounds: int =
     return Key(
         x0=x0,
         mu=mu,
-        row_offset=int(rng.integers(1, max_offset + 1)),
-        col_offset=int(rng.integers(1, max_offset + 1)),
-        rounds=int(rng.integers(1, max_rounds + 1)),
+        row_offset=int(rng.integers(1, RANDOM_KEY_MAX_OFFSET + 1)),
+        col_offset=int(rng.integers(1, RANDOM_KEY_MAX_OFFSET + 1)),
+        rounds=int(rng.integers(1, RANDOM_KEY_MAX_ROUNDS + 1)),
     )
 
 
@@ -149,6 +149,9 @@ def parse_key(text: str) -> Key:
         raise InvalidKeyDomain(
             f"key line must hold exactly 5 fields 'x0 mu m n T', got {len(fields)}"
         )
+    # float() would also take '0.1_5' and non-ASCII digits.
+    if not all(f.isascii() and "_" not in f for f in fields[:2]):
+        raise InvalidKeyDomain(f"malformed key line: x0 mu must be ASCII, no '_', got {fields[:2]}")
     try:
         x0, mu = float(fields[0]), float(fields[1])
     except ValueError as exc:

@@ -109,6 +109,12 @@ class TestKeyDomain:
         with pytest.raises(InvalidKeyDomain, match="must be ASCII digits"):
             parse_key(" ".join(fields))
 
+    @pytest.mark.parametrize("line", ["0.1_5 3.9 1 1 1", "٠.٥ 3.9 1 1 1", "0.5 3.9_8 1 1 1", "0.5 ٣.٩ 1 1 1"])
+    def test_real_fields_must_be_ascii_without_separators(self, line):
+        # float() alone would read each value, and each lies inside its interval
+        with pytest.raises(InvalidKeyDomain, match="x0 mu must be ASCII"):
+            parse_key(line)
+
 
 @st.composite
 def mutated_key_line(draw):
