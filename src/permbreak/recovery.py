@@ -6,10 +6,16 @@ showing value v in the same pair.  Iterating this over pairs refines two
 matched partitions of the grid: the leaves of the paper's L-ary tree, whose
 root holds the whole grid.  A leaf of cardinality one pins a plain position
 to its cipher position with certainty; a leaf of cardinality c leaves c!
-orderings open.  The leaves are kept as flat label arrays, so one pair is a
-few whole-array passes (key by leaf and value, stable sort, split where the
-key changes).  Each unpinned position is touched once per side, never
-compared pairwise, so the work per pair is linear in the grid.
+orderings open.  The leaves are kept as flat label arrays, and a batch of
+pairs is refined at once: each unpinned position's leaf label and value
+sequence are packed into one int64 key per side, one stable sort per side
+groups equal keys, and the leaves split where the key changes.  That is the
+partition refining pair by pair reaches, and no position is compared
+pairwise.  ``positions_processed`` is the pair-by-pair algorithm's count
+(2 x the positions still unpinned before each pair), computed from the sorted
+keys: it certifies the paper's O(n0 * grid) bound, but no longer tallies the
+work done, which is one gather per pair and side plus one sort per 63 key
+bits.
 
 The binary case (L = 2) attacks the bit-permutation cipher after bit-plane
 expansion; the general case (any L up to 256 here) breaks any
@@ -32,13 +38,23 @@ class InconsistentPair(ValueError):
     """A pair whose value multisets cannot come from one position permutation.
 
     Raised before any leaf of the tree is modified, so the tree still
-    reflects exactly the pairs accepted so far.  When raised through
-    :func:`attack`, ``pair_index`` names the offending pair.
+    reflects exactly the batches accepted so far.  ``pair_index`` names the
+    offending pair by its index in the batch given to
+    :meth:`RecoveryTree.refine`, and so in the pairs given to :func:`attack`.
     """
 
     def __init__(self, message: str, pair_index: int | None = None):
         super().__init__(message)
         self.pair_index = pair_index
+
+
+def _shared(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that equal a neighbour."""
+    same = keys[1:] == keys[:-1]
+    mask = np.zeros(len(keys), dtype=bool)
+    mask[1:] = same
+    mask[:-1] |= same
+    return mask
 
 
 class RecoveryTree:
@@ -55,8 +71,8 @@ class RecoveryTree:
     def __init__(self, rows: int, cols: int, arity: int = 2):
         if rows < 1 or cols < 1:
             raise ShapeError(f"grid must be at least 1x1, got {rows}x{cols}")
-        if arity < 2:
-            raise ValueError(f"arity must be >= 2, got {arity}")
+        if not 2 <= arity <= 256:
+            raise ValueError(f"arity must be in [2, 256], got {arity}")
         self.rows = rows
         self.cols = cols
         self.arity = arity
@@ -70,51 +86,105 @@ class RecoveryTree:
         self._label = np.zeros(len(self._plain), dtype=np.int64)
         self.positions_processed = 0
 
-    def refine(self, plain, cipher) -> None:
-        """Split every multi-position leaf by element value, using one pair.
+    def refine(self, pairs) -> None:
+        """Split every multi-position leaf by the values of a batch of pairs.
 
-        Each unpinned position is keyed by (leaf, value) on its own side and
-        both sides are sorted by key.  The sorted keys must agree, or some
-        leaf would send different numbers of plain and cipher positions to
-        one value, the pair cannot be a permutation of the accepted history,
-        and InconsistentPair is raised with the tree untouched.  Pinned
-        positions are skipped: they can never split again.
+        Each unpinned position gets one int64 key per side: its leaf label on
+        top, then its value in each pair, the first pair most significant.
+        One stable sort per side by that key ends at the leaves that refining
+        pair by pair reaches: in lexicographic order of value sequence,
+        row-major inside each leaf.  The sorted keys must agree, or some leaf
+        would send different numbers of plain and cipher positions to one
+        value sequence; then InconsistentPair is raised with the batch index
+        of the first pair whose prefix disagrees, and the tree is untouched,
+        since the whole batch is rejected.  A batch wider than the 63 key bits
+        is refined chunk by chunk.  Pinned positions are skipped: they can
+        never split again.  Every pair's shape is checked before any sort.
         """
-        pgrid, cgrid = _as_grid(plain, self.arity), _as_grid(cipher, self.arity)
-        if not pgrid.shape == cgrid.shape == (self.rows, self.cols):
-            raise ShapeError(
-                f"plain/cipher grid shapes {pgrid.shape}/{cgrid.shape} do not match "
-                f"tree grid {self.rows}x{self.cols}"
-            )
-        pflat, cflat = pgrid.reshape(-1), cgrid.reshape(-1)
+        flats = []
+        for index, (p, c) in enumerate(pairs):
+            try:
+                pgrid, cgrid = _as_grid(p, self.arity), _as_grid(c, self.arity)
+                if not pgrid.shape == cgrid.shape == (self.rows, self.cols):
+                    raise ShapeError(
+                        f"plain/cipher grid shapes {pgrid.shape}/{cgrid.shape} do not "
+                        f"match tree grid {self.rows}x{self.cols}"
+                    )
+            except ShapeError as exc:
+                raise ShapeError(f"pair #{index}: {exc}") from None
+            flats.append((pgrid.reshape(-1), cgrid.reshape(-1)))
 
-        base = self._label * self.arity
-        pkey = base + pflat[self._plain]
-        ckey = base + cflat[self._cipher]
-        # Stable sorts keep ascending (row-major) order inside each new leaf,
-        # which the in-order pairing of estimate_map relies on.
-        porder = np.argsort(pkey, kind="stable")
-        corder = np.argsort(ckey, kind="stable")
-        pkey = pkey[porder]
-        if not np.array_equal(pkey, ckey[corder]):
-            raise InconsistentPair(
-                "plain/cipher value counts disagree inside a leaf; the pair "
-                "was not produced by a pure position permutation consistent "
-                "with the earlier pairs"
-            )
+        width = (self.arity - 1).bit_length()  # key bits per pair
+        plain, cipher, label = self._plain, self._cipher, self._label
+        pinned, processed = [], 0
+        start, cut = 0, len(flats)
+        while start < len(flats):
+            label_bits = int(label[-1]).bit_length() if len(label) else 0
+            count = min(len(flats) - start, (63 - label_bits) // width, cut)
+            cut = len(flats)
+            pkey, ckey = label.copy(), label.copy()
+            for pflat, cflat in flats[start : start + count]:
+                for key, flat, positions in ((pkey, pflat, plain), (ckey, cflat, cipher)):
+                    key <<= width
+                    # unsafe only admits uint64 grids, whose values are below arity
+                    np.bitwise_or(key, flat[positions], out=key, dtype=np.int64, casting="unsafe")
+            # Stable sorts keep ascending (row-major) order inside each new leaf,
+            # which the in-order pairing of estimate_map relies on.
+            porder = np.argsort(pkey, kind="stable")
+            corder = np.argsort(ckey, kind="stable")
+            pkey, ckey = pkey[porder], ckey[corder]
+            if not np.array_equal(pkey, ckey):
+                # Shifting the last pairs off keeps both sides sorted, so the
+                # first pair whose prefix disagrees is found by comparison.
+                bad = next(
+                    t for t in range(count)
+                    if not np.array_equal(
+                        pkey >> width * (count - 1 - t), ckey >> width * (count - 1 - t)
+                    )
+                )
+                # Pair by pair, pair `bad` is checked only on the positions still
+                # unpinned before it.  If it disagrees only on positions pinned
+                # earlier in this chunk, it passes: cut the chunk before it, and
+                # the next chunk starts at it with those positions pinned.
+                shift = width * (count - 1 - bad)
+                unpinned = _shared(pkey >> shift + width)
+                if not np.array_equal((pkey >> shift)[unpinned], (ckey >> shift)[unpinned]):
+                    raise InconsistentPair(
+                        "plain/cipher value counts disagree inside a leaf; the pair "
+                        "was not produced by a pure position permutation consistent "
+                        "with the earlier pairs",
+                        start + bad,
+                    )
+                cut = bad
+                continue
 
-        starts = np.ones(len(pkey), dtype=bool)
-        np.not_equal(pkey[1:], pkey[:-1], out=starts[1:])
-        leaf = np.cumsum(starts) - 1
-        multi = np.bincount(leaf) > 1
-        keep = multi[leaf]
-        plain_sorted = self._plain[porder]
-        cipher_sorted = self._cipher[corder]
-        self._pinned[plain_sorted[~keep]] = cipher_sorted[~keep]
-        self._plain = plain_sorted[keep]
-        self._cipher = cipher_sorted[keep]
-        self._label = (np.cumsum(multi) - 1)[leaf[keep]]
-        self.positions_processed += 2 * len(pkey)
+            # The count refining pair by pair makes: 2 x the positions still
+            # unpinned before each pair, i.e. sharing the prefix of the pairs
+            # before it with another position.
+            processed += 2 * len(pkey)
+            for t in range(1, count):
+                shared = int(np.count_nonzero(_shared(pkey >> width * (count - t))))
+                if not shared:
+                    break
+                processed += 2 * shared
+
+            starts = np.ones(len(pkey), dtype=bool)
+            np.not_equal(pkey[1:], pkey[:-1], out=starts[1:])
+            leaf = np.cumsum(starts) - 1
+            multi = np.bincount(leaf) > 1
+            keep = multi[leaf]
+            plain_sorted = plain[porder]
+            cipher_sorted = cipher[corder]
+            pinned.append((plain_sorted, cipher_sorted, ~keep))
+            plain = plain_sorted[keep]
+            cipher = cipher_sorted[keep]
+            label = (np.cumsum(multi) - 1)[leaf[keep]]
+            start += count
+
+        for positions, targets, singleton in pinned:
+            self._pinned[positions[singleton]] = targets[singleton]
+        self._plain, self._cipher, self._label = plain, cipher, label
+        self.positions_processed += processed
 
     def leaf_sets(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Copies of every leaf's (plain positions, cipher positions):
@@ -281,9 +351,11 @@ def attack(pairs, mode: str = "bit") -> tuple[PermutationMap, AttackReport]:
     mode "bit": pairs are expanded to M x 8N bit grids and refined with
     L = 2, breaking the bit-permutation cipher.  mode "byte": pixel grids
     are refined directly with L = 256, which breaks any permutation-only
-    scheme on bytes.  Returns the estimated map plus an AttackReport;
-    positions_processed in the report certifies the linear work bound
-    (at most 2 * n0 * grid positions).
+    scheme on bytes.  All pairs are refined as one batch.  Returns the
+    estimated map plus an AttackReport; positions_processed in the report
+    is the pair-by-pair algorithm's count, computed from the sorted keys,
+    and certifies the linear work bound (at most 2 * n0 * grid positions)
+    without tallying the work done.
     """
     if mode not in ("bit", "byte"):
         raise ValueError(f"mode must be 'bit' or 'byte', got {mode!r}")
@@ -301,12 +373,7 @@ def attack(pairs, mode: str = "bit") -> tuple[PermutationMap, AttackReport]:
     rows, cols = grids[0][0].shape
     # refine rejects every grid whose shape differs from the first one's.
     tree = RecoveryTree(rows, cols, arity)
-    for index, (plain_grid, cipher_grid) in enumerate(grids):
-        try:
-            tree.refine(plain_grid, cipher_grid)
-        except InconsistentPair as exc:
-            exc.pair_index = index
-            raise
+    tree.refine(grids)
     estimate = tree.estimate_map()
     report = AttackReport(
         pairs_used=len(pairs),

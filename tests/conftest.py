@@ -9,6 +9,7 @@ from math import comb
 import numpy as np
 
 from permbreak.keystream import build_schedule
+from permbreak.recovery import InconsistentPair
 
 
 def random_image(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
@@ -69,6 +70,37 @@ def reference_encrypt(img, key) -> np.ndarray:
         [[sum(row[8 * j + k] << k for k in range(8)) for j in range(width)] for row in bits],
         dtype=np.uint8,
     )
+
+
+def reference_refine(tree, pairs) -> None:
+    """Refine a RecoveryTree one pair at a time, the way the attack did
+    before it sorted whole batches: key every unpinned position by (leaf,
+    value), stable-sort each side, check the sorted keys agree, split, pin the
+    singletons.  Positions pinned before a pair are not checked against it.
+    A disagreeing pair raises InconsistentPair with its index, leaving the
+    tree as the pairs before it left it.  Grids are assumed valid."""
+    for index, (plain, cipher) in enumerate(pairs):
+        pflat, cflat = np.asarray(plain).reshape(-1), np.asarray(cipher).reshape(-1)
+        base = tree._label * tree.arity
+        pkey = base + pflat[tree._plain]
+        ckey = base + cflat[tree._cipher]
+        porder = np.argsort(pkey, kind="stable")
+        corder = np.argsort(ckey, kind="stable")
+        pkey = pkey[porder]
+        if not np.array_equal(pkey, ckey[corder]):
+            raise InconsistentPair("sorted keys disagree", index)
+        starts = np.ones(len(pkey), dtype=bool)
+        np.not_equal(pkey[1:], pkey[:-1], out=starts[1:])
+        leaf = np.cumsum(starts) - 1
+        multi = np.bincount(leaf) > 1
+        keep = multi[leaf]
+        plain_sorted = tree._plain[porder]
+        cipher_sorted = tree._cipher[corder]
+        tree._pinned[plain_sorted[~keep]] = cipher_sorted[~keep]
+        tree._plain = plain_sorted[keep]
+        tree._cipher = cipher_sorted[keep]
+        tree._label = (np.cumsum(multi) - 1)[leaf[keep]]
+        tree.positions_processed += 2 * len(pkey)
 
 
 def naive_rank(segment) -> list[int]:

@@ -290,8 +290,7 @@ def test_criterion_8_tree_equals_intersection_oracle():
                     plains.append(plain)
                     ciphers.append(cipher.reshape(rows, cols))
                 tree = RecoveryTree(rows, cols, 2)
-                for plain, cipher in zip(plains, ciphers):
-                    tree.refine(plain, cipher)
+                tree.refine(list(zip(plains, ciphers)))
                 ok = ok and tree_partition(tree) == intersection_partition(plains, ciphers)
                 cases += 1
     _report(

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +20,8 @@ from permbreak.keystream import parse_key
 from permbreak.pgm import read_pgm, write_pgm
 
 KEY_LINE = "0.2009 3.98 20 51 4"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 @pytest.fixture
@@ -118,6 +121,17 @@ class TestGenChosenAndAttack:
         assert main(["attack-known", str(manifest), "--out", str(tmp_path)]) == 1
         assert "shape" in capsys.readouterr().err.lower()
 
+    def test_shape_error_names_its_pair(self, tmp_path, capsys):
+        square, wide = tmp_path / "square.pgm", tmp_path / "wide.pgm"
+        write_pgm(square, np.zeros((16, 16), dtype=np.uint8))
+        write_pgm(wide, np.zeros((16, 17), dtype=np.uint8))
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text("square.pgm\tsquare.pgm\nwide.pgm\twide.pgm\nsquare.pgm\tsquare.pgm\n")
+        assert main(["attack-known", str(manifest), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: pair #1: plain/cipher grid shapes (16, 136)/(16, 136) do not match tree grid 16x128"
+        ]
+
     def test_corrupted_pair_names_its_index(self, tmp_path, key_file, capsys):
         out = tmp_path / "chosen"
         main(["gen-chosen", "2", "2", "--key", key_file, "--out", str(out)])
@@ -211,6 +225,12 @@ class TestSweep:
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+    def test_default_sweep_matches_recorded_digest(self, tmp_path):
+        # The digest perfbench checks every sweep pass against; read, never rewritten.
+        recorded = json.loads((ROOT / "perfbench" / "sweep_sha256.json").read_text())["0"]
+        assert main(["sweep", "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == recorded
 
     def test_threshold_row_beats_coin_flipping(self):
         # at the minimum useful pair count the recovered bits are mostly right

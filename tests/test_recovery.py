@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from conftest import intersection_partition, random_image, tree_partition
+from conftest import intersection_partition, random_image, reference_refine, tree_partition
 from permbreak.analysis import perm_accuracy
 from permbreak.cipher import (
     PermutationMap,
@@ -39,6 +39,58 @@ REFERENCE_KEY = Key(0.2009, 3.98, 20, 51, 4)
 def bit_pairs(rng, key, height, width, count):
     plains = [random_image(rng, height, width) for _ in range(count)]
     return [(expand_to_bits(p), expand_to_bits(encrypt(p, key))) for p in plains]
+
+
+def permuted_pairs(seed, rows, cols, arity, count, density, repeat=1):
+    """count pairs gathered through one random permutation of the rows x cols
+    grid.  Each value is nonzero with chance density, and every value is
+    repeated in `repeat` consecutive cells: a low density or a repeat keeps
+    leaves open across many pairs."""
+    rng = np.random.default_rng(seed)
+    size = rows * cols
+    perm = rng.permutation(size)
+    pairs = []
+    for _ in range(count):
+        drawn = -(-size // repeat)
+        values = np.where(rng.random(drawn) < density, rng.integers(1, arity, drawn), 0)
+        plain = np.repeat(values, repeat)[:size].astype(np.uint8)
+        cipher = np.empty(size, dtype=np.uint8)
+        cipher[perm] = plain
+        pairs.append((plain.reshape(rows, cols), cipher.reshape(rows, cols)))
+    return pairs
+
+
+@st.composite
+def batches(draw):
+    """(arity, rows, cols, pairs): bit batches of up to 130 pairs and byte
+    batches of up to 20, both across their 63- and 7-pair chunk edges."""
+    arity, most, edge = draw(st.sampled_from([(2, 130, 63), (256, 20, 7)]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 24))
+    count = draw(st.one_of(st.sampled_from([edge, edge + 1, most]), st.integers(1, most)))
+    density = draw(st.sampled_from([0.005, 0.02, 0.1, 0.5]))
+    repeat = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return arity, rows, cols, permuted_pairs(seed, rows, cols, arity, count, density, repeat)
+
+
+def tree_state(tree):
+    """Everything a tree reports, in comparable form."""
+    return (
+        [(plain.tolist(), cipher.tolist()) for plain, cipher in tree.leaf_sets()],
+        tree.estimate_map().target.tolist(),
+        tree.leaf_count,
+        tree.residual_ambiguity(),
+        tree.positions_processed,
+    )
+
+
+def refine_outcome(refine, tree, pairs):
+    """The rejected pair's index, or None when the batch is accepted."""
+    try:
+        refine(tree, pairs)
+    except InconsistentPair as exc:
+        return exc.pair_index
+    return None
 
 
 class TestTreeInit:
@@ -74,7 +126,7 @@ class TestRefine:
         tree = RecoveryTree(2, 8, 2)
         zero = np.zeros((2, 8), dtype=np.uint8)
         before = tree_partition(tree)
-        tree.refine(zero, zero)
+        tree.refine([(zero, zero)])
         assert tree_partition(tree) == before
         assert tree.leaf_count == 1
         assert tree.singleton_fraction == 0.0
@@ -88,7 +140,7 @@ class TestRefine:
         plain = rng.integers(0, 2, size=(2, 8), dtype=np.uint8)
         perm = rng.permutation(16)
         cipher = plain.reshape(-1)[np.argsort(perm)].reshape(2, 8)
-        tree.refine(plain, cipher)
+        tree.refine([(plain, cipher)])
         sizes = sorted(len(p) for p, _ in tree.leaf_sets())
         ones = int(plain.sum())
         assert sizes == sorted([16 - ones, ones])
@@ -99,14 +151,14 @@ class TestRefine:
             key = random_key(rng)
             tree = RecoveryTree(4, 32, 2)
             for plain, cipher in bit_pairs(rng, key, 4, 4, 6):
-                tree.refine(plain, cipher)
+                tree.refine([(plain, cipher)])
 
     def test_corrupted_bit_raises_and_preserves_tree(self):
         rng = np.random.default_rng(2)
         key = random_key(rng)
         pairs = bit_pairs(rng, key, 4, 4, 3)
         tree = RecoveryTree(4, 32, 2)
-        tree.refine(*pairs[0])
+        tree.refine([pairs[0]])
         snapshot = tree_partition(tree)
         processed = tree.positions_processed
 
@@ -114,13 +166,13 @@ class TestRefine:
         corrupted = cipher.copy()
         corrupted[0, 0] ^= 1
         with pytest.raises(InconsistentPair):
-            tree.refine(plain, corrupted)
+            tree.refine([(plain, corrupted)])
         assert tree_partition(tree) == snapshot
         assert tree.positions_processed == processed
 
         # the untouched tree still accepts the genuine pair afterwards
-        tree.refine(plain, cipher)
-        tree.refine(*pairs[2])
+        tree.refine([(plain, cipher)])
+        tree.refine([pairs[2]])
 
     @pytest.mark.parametrize("arity", [2, 256])
     def test_pair_wrong_inside_one_leaf_raises_and_preserves_tree(self, arity):
@@ -134,7 +186,7 @@ class TestRefine:
 
         tree = RecoveryTree(2, 4, arity)
         first = np.array([[0, 0, 0, 0], [high, high, high, high]], dtype=np.uint8)
-        tree.refine(first, cipher_of(first))  # leaves: plain row 0, plain row 1
+        tree.refine([(first, cipher_of(first))])  # leaves: plain row 0, plain row 1
         snapshot = tree_partition(tree)
         processed = tree.positions_processed
 
@@ -144,29 +196,29 @@ class TestRefine:
         swapped[0, 1], swapped[1, 0] = second[1, 0], second[0, 1]  # across the two leaves
         assert sorted(swapped.reshape(-1).tolist()) == sorted(cipher.reshape(-1).tolist())
         with pytest.raises(InconsistentPair):
-            tree.refine(swapped, cipher)
+            tree.refine([(swapped, cipher)])
         assert tree_partition(tree) == snapshot
         assert tree.positions_processed == processed
 
-        tree.refine(second, cipher)
+        tree.refine([(second, cipher)])
 
     def test_rejects_values_outside_arity(self):
         tree = RecoveryTree(2, 2, 2)
         with pytest.raises(ValueError):
-            tree.refine(np.full((2, 2), 3, dtype=np.uint8), np.full((2, 2), 3, dtype=np.uint8))
+            tree.refine([(np.full((2, 2), 3, dtype=np.uint8), np.full((2, 2), 3, dtype=np.uint8))])
 
     def test_rejects_float_grid(self):
         # keyed as a value of its own, 0.5 would split the grid into 3 leaves
         tree = RecoveryTree(1, 4, 2)
         grid = np.array([[0.5, 0, 1, 0]])
         with pytest.raises(ShapeError):
-            tree.refine(grid, grid)
+            tree.refine([(grid, grid)])
         assert tree.leaf_count == 1
 
     def test_rejects_wrong_grid_shape(self):
         tree = RecoveryTree(2, 8, 2)
-        with pytest.raises(ShapeError):
-            tree.refine(np.zeros((2, 9), dtype=np.uint8), np.zeros((2, 9), dtype=np.uint8))
+        with pytest.raises(ShapeError, match="^pair #0: "):
+            tree.refine([(np.zeros((2, 9), dtype=np.uint8), np.zeros((2, 9), dtype=np.uint8))])
 
     def test_leaf_balance_and_soundness_against_ground_truth(self):
         rng = np.random.default_rng(3)
@@ -175,7 +227,7 @@ class TestRefine:
             truth = compose_permutation(key, 3, 2)
             tree = RecoveryTree(3, 16, 2)
             for plain, cipher in bit_pairs(rng, key, 3, 2, 4):
-                tree.refine(plain, cipher)
+                tree.refine([(plain, cipher)])
             for plain, cipher in tree.leaf_sets():
                 assert len(plain) == len(cipher)
                 # truth maps every leaf's plain set onto exactly its cipher set
@@ -187,10 +239,86 @@ class TestRefine:
         tree = RecoveryTree(4, 32, 2)
         previous = tree.residual_ambiguity()
         for plain, cipher in bit_pairs(rng, key, 4, 4, 8):
-            tree.refine(plain, cipher)
+            tree.refine([(plain, cipher)])
             current = tree.residual_ambiguity()
             assert current <= previous + 1e-9
             previous = current
+
+
+class TestBatchRefine:
+    """One batch sort against the pair-by-pair oracle in conftest."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=batches())
+    def test_batch_matches_pair_by_pair(self, case):
+        arity, rows, cols, pairs = case
+        batch, oracle = RecoveryTree(rows, cols, arity), RecoveryTree(rows, cols, arity)
+        batch.refine(pairs)
+        reference_refine(oracle, pairs)
+        assert tree_state(batch) == tree_state(oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=batches(), cut=st.floats(0.0, 1.0))
+    def test_two_batches_equal_one(self, case, cut):
+        arity, rows, cols, pairs = case
+        split = round(cut * len(pairs))
+        twice, once = RecoveryTree(rows, cols, arity), RecoveryTree(rows, cols, arity)
+        twice.refine(pairs[:split])
+        twice.refine(pairs[split:])
+        once.refine(pairs)
+        assert tree_state(twice) == tree_state(once)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=batches(), where=st.floats(0.0, 1.0), unpinned=st.booleans(), pick=st.integers(0, 10**6))
+    def test_corrupted_pair_matches_oracle(self, case, where, unpinned, pick):
+        arity, rows, cols, pairs = case
+        bad = min(int(where * len(pairs)), len(pairs) - 1)
+        before = RecoveryTree(rows, cols, arity)
+        reference_refine(before, pairs[:bad])
+        # Oracle-unpinned cells make the oracle reject; pinned ones it lets pass.
+        cells = before._cipher if unpinned and len(before._cipher) else np.arange(rows * cols)
+        cell = int(cells[pick % len(cells)])
+        plain, cipher = pairs[bad]
+        cipher = cipher.copy()
+        cipher.reshape(-1)[cell] = (int(cipher.reshape(-1)[cell]) + 1) % arity
+        pairs = pairs[:bad] + [(plain, cipher)] + pairs[bad + 1:]
+
+        oracle, batch = RecoveryTree(rows, cols, arity), RecoveryTree(rows, cols, arity)
+        fresh = tree_state(batch)
+        expected = refine_outcome(reference_refine, oracle, pairs)
+        assert refine_outcome(RecoveryTree.refine, batch, pairs) == expected
+        if expected is None:
+            assert tree_state(batch) == tree_state(oracle)
+        else:
+            assert expected == bad
+            assert tree_state(batch) == fresh
+
+    @pytest.mark.parametrize("pinned_in_chunk", [False, True])
+    def test_corruption_in_later_chunk(self, pinned_in_chunk):
+        # Pair 100 lies in the second 63-pair chunk.  Corrupted at a cell still
+        # unpinned before it, the oracle rejects it; at a cell pinned earlier
+        # in that chunk, the oracle lets it pass, and so must the batch.
+        pairs = permuted_pairs(12, 2, 16, 2, 130, 0.03)
+        bad = 100
+        unpinned = {}
+        for count in (63, bad):
+            tree = RecoveryTree(2, 16, 2)
+            reference_refine(tree, pairs[:count])
+            unpinned[count] = set(tree._cipher.tolist())
+        cell = min(unpinned[63] - unpinned[bad] if pinned_in_chunk else unpinned[bad])
+        plain, cipher = pairs[bad]
+        cipher = cipher.copy()
+        cipher.reshape(-1)[cell] ^= 1
+        pairs[bad] = (plain, cipher)
+
+        oracle, batch = RecoveryTree(2, 16, 2), RecoveryTree(2, 16, 2)
+        expected = refine_outcome(reference_refine, oracle, pairs)
+        assert expected == (None if pinned_in_chunk else bad)
+        assert refine_outcome(RecoveryTree.refine, batch, pairs) == expected
+        if pinned_in_chunk:
+            assert tree_state(batch) == tree_state(oracle)
+        else:
+            assert tree_state(batch) == tree_state(RecoveryTree(2, 16, 2))
 
 
 class TestEstimateAndAmbiguity:
@@ -203,7 +331,7 @@ class TestEstimateAndAmbiguity:
         key = random_key(rng)
         tree = RecoveryTree(4, 32, 2)
         for plain, cipher in bit_pairs(rng, key, 4, 4, 3):
-            tree.refine(plain, cipher)
+            tree.refine([(plain, cipher)])
         estimate = tree.estimate_map()
         assert sorted(estimate.target.tolist()) == list(range(128))
 
@@ -213,13 +341,13 @@ class TestEstimateAndAmbiguity:
     def test_three_element_leaf_ambiguity(self):
         tree = RecoveryTree(1, 4, 2)
         grid = np.array([[0, 1, 1, 1]], dtype=np.uint8)
-        tree.refine(grid, grid)
+        tree.refine([(grid, grid)])
         assert tree.residual_ambiguity() == approx(math.log2(6))
 
     def test_singletons_contribute_nothing(self):
         tree = RecoveryTree(1, 2, 2)
         grid = np.array([[0, 1]], dtype=np.uint8)
-        tree.refine(grid, grid)
+        tree.refine([(grid, grid)])
         assert tree.residual_ambiguity() == 0.0
         assert tree.singleton_fraction == 1.0
 
@@ -360,6 +488,19 @@ class TestAttack:
         assert report.pairs_used == n0
         assert report.predicted_pb == predicted_bit_accuracy(16, 16, n0)
 
+    def test_one_refine_call_per_attack(self, monkeypatch):
+        # perfbench's recovery.refine probe wraps RecoveryTree.refine by name.
+        calls = []
+        refine = RecoveryTree.refine
+        monkeypatch.setattr(RecoveryTree, "refine", lambda tree, pairs: calls.append(1) or refine(tree, pairs))
+        rng = np.random.default_rng(12)
+        key = random_key(rng)
+        for count in (1, 12, 63):
+            calls.clear()
+            pairs = [(p, encrypt(p, key)) for p in (random_image(rng, 2, 2) for _ in range(count))]
+            attack(pairs, mode="bit")
+            assert len(calls) == 1
+
     def test_report_csv_row_shape(self):
         zero = np.zeros((2, 2), dtype=np.uint8)
         _, report = attack([(zero, zero)], mode="bit")
@@ -400,8 +541,7 @@ class TestOracleEquivalence:
                 plains.append(plain)
                 ciphers.append(cipher.reshape(rows, cols))
             tree = RecoveryTree(rows, cols, levels)
-            for plain, cipher in zip(plains, ciphers):
-                tree.refine(plain, cipher)
+            tree.refine(list(zip(plains, ciphers)))
             assert tree_partition(tree) == intersection_partition(plains, ciphers)
 
 
@@ -450,4 +590,15 @@ class TestGoldenOutputs:
         assert self.outcome(*attack(pairs, mode="byte")) == (
             (2, 15, 0.015625, 94.45786718453502, 0.9990396195063949, 256),
             "7c7fa87875ed4a6603784c41d439a5c3a7ee1fa3582a1e9daf3a77519f35522c",
+        )
+
+    def test_byte_mode_6x6_two_chunks(self):
+        # 9 byte pairs: 7 fill the first 63-bit key, 2 more need a second sort.
+        rng = np.random.default_rng(2009)
+        stub = PermutationMap(6, 6, rng.permutation(36).astype(np.int64))
+        plains = [rng.integers(0, 2, size=(6, 6), dtype=np.uint8) for _ in range(9)]
+        pairs = [(p, apply_map(stub, p)) for p in plains]
+        assert self.outcome(*attack(pairs, mode="byte")) == (
+            (9, 34, 0.8888888888888888, 1.9999999999999991, 1.0, 470),
+            "a2b9a20f9474ca9174385c60e85a227c08dc4220831af148ee58d325c92a4aa9",
         )
