@@ -368,8 +368,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InconsistentPair as exc:
-        where = f" (pair #{exc.pair_index})" if exc.pair_index is not None else ""
-        print(f"error: inconsistent pair{where}: {exc}", file=sys.stderr)
+        print(f"error: inconsistent pair (pair #{exc.pair_index}): {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,16 +6,19 @@ showing value v in the same pair.  Iterating this over pairs refines two
 matched partitions of the grid: the leaves of the paper's L-ary tree, whose
 root holds the whole grid.  A leaf of cardinality one pins a plain position
 to its cipher position with certainty; a leaf of cardinality c leaves c!
-orderings open.  The leaves are kept as flat label arrays, and a batch of
-pairs is refined at once: each unpinned position's leaf label and value
-sequence are packed into one int64 key per side, one stable sort per side
-groups equal keys, and the leaves split where the key changes.  That is the
-partition refining pair by pair reaches, and no position is compared
-pairwise.  ``positions_processed`` is the pair-by-pair algorithm's count
-(2 x the positions still unpinned before each pair), computed from the sorted
-keys: it certifies the paper's O(n0 * grid) bound, but no longer tallies the
-work done, which is one gather per pair and side plus one sort per 63 key
-bits.
+orderings open.  The leaves are kept as flat label arrays over the whole
+grid, singletons included, and a batch of pairs is refined at once: each
+position's leaf label and value sequence are packed into one int64 key per
+side, one stable sort per side groups equal keys, and the leaves split where
+the key changes.  That is the partition refining pair by pair reaches, and
+no position is compared pairwise.  A pair is rejected exactly when no
+permutation fitting the pairs accepted before it maps its plaintext onto its
+ciphertext, which is when the two sides' sorted keys differ.
+``positions_processed`` is the pair-by-pair algorithm's count (2 x the
+positions in multi-position leaves before each pair), computed from the
+sorted keys: it certifies the paper's O(n0 * grid) bound, but does not tally
+the work done, which is one gather per pair and side plus one sort per 63
+key bits.
 
 The binary case (L = 2) attacks the bit-permutation cipher after bit-plane
 expansion; the general case (any L up to 256 here) breaks any
@@ -35,7 +38,8 @@ from .cipher import PermutationMap, ShapeError, _as_grid, _as_image, expand_to_b
 
 
 class InconsistentPair(ValueError):
-    """A pair whose value multisets cannot come from one position permutation.
+    """A pair that no position permutation fitting the earlier pairs can
+    produce.
 
     Raised before any leaf of the tree is modified, so the tree still
     reflects exactly the batches accepted so far.  ``pair_index`` names the
@@ -43,7 +47,7 @@ class InconsistentPair(ValueError):
     :meth:`RecoveryTree.refine`, and so in the pairs given to :func:`attack`.
     """
 
-    def __init__(self, message: str, pair_index: int | None = None):
+    def __init__(self, message: str, pair_index: int):
         super().__init__(message)
         self.pair_index = pair_index
 
@@ -60,12 +64,11 @@ def _shared(keys: np.ndarray) -> np.ndarray:
 class RecoveryTree:
     """Partition refinement over matched plain/cipher position sets.
 
-    The leaves of the paper's L-ary tree are held as flat int64 arrays.
-    ``_plain`` and ``_cipher`` list the positions of every leaf with more than
-    one position, leaf after leaf, ascending (row-major) inside each leaf;
-    ``_label`` numbers the leaf of each entry 0..K-1 and never decreases along
-    the arrays.  ``_pinned`` maps each plain position already pinned by a
-    singleton leaf to its cipher position, and holds -1 everywhere else.
+    The leaves of the paper's L-ary tree are held as three flat int64 arrays
+    over the whole grid.  ``_plain`` and ``_cipher`` list the positions of
+    every leaf, singletons included, leaf after leaf, ascending (row-major)
+    inside each leaf; ``_label`` numbers the leaf of each entry 0..K-1 and
+    never decreases along the arrays.
     """
 
     def __init__(self, rows: int, cols: int, arity: int = 2):
@@ -76,30 +79,26 @@ class RecoveryTree:
         self.rows = rows
         self.cols = cols
         self.arity = arity
-        size = rows * cols
-        self._pinned = np.full(size, -1, dtype=np.int64)
-        self._plain = np.arange(size, dtype=np.int64)
-        if size == 1:  # the whole grid is already a singleton leaf
-            self._pinned[0] = 0
-            self._plain = self._plain[:0]
+        self._plain = np.arange(rows * cols, dtype=np.int64)
         self._cipher = self._plain.copy()
-        self._label = np.zeros(len(self._plain), dtype=np.int64)
+        self._label = np.zeros(rows * cols, dtype=np.int64)
         self.positions_processed = 0
 
     def refine(self, pairs) -> None:
-        """Split every multi-position leaf by the values of a batch of pairs.
+        """Split every leaf by the values of a batch of pairs.
 
-        Each unpinned position gets one int64 key per side: its leaf label on
-        top, then its value in each pair, the first pair most significant.
-        One stable sort per side by that key ends at the leaves that refining
+        Each position gets one int64 key per side: its leaf label on top,
+        then its value in each pair, the first pair most significant.  One
+        stable sort per side by that key ends at the leaves that refining
         pair by pair reaches: in lexicographic order of value sequence,
         row-major inside each leaf.  The sorted keys must agree, or some leaf
         would send different numbers of plain and cipher positions to one
-        value sequence; then InconsistentPair is raised with the batch index
-        of the first pair whose prefix disagrees, and the tree is untouched,
-        since the whole batch is rejected.  A batch wider than the 63 key bits
-        is refined chunk by chunk.  Pinned positions are skipped: they can
-        never split again.  Every pair's shape is checked before any sort.
+        value sequence, and no permutation fitting the pairs before it maps
+        that pair's plaintext onto its ciphertext.  Then InconsistentPair is
+        raised with the batch index of the first pair whose prefix disagrees,
+        and the tree is untouched, since the whole batch is rejected.  A
+        batch wider than the 63 key bits is refined chunk by chunk.  Every
+        pair's shape is checked before any sort.
         """
         flats = []
         for index, (p, c) in enumerate(pairs):
@@ -116,12 +115,9 @@ class RecoveryTree:
 
         width = (self.arity - 1).bit_length()  # key bits per pair
         plain, cipher, label = self._plain, self._cipher, self._label
-        pinned, processed = [], 0
-        start, cut = 0, len(flats)
+        start, processed = 0, 0
         while start < len(flats):
-            label_bits = int(label[-1]).bit_length() if len(label) else 0
-            count = min(len(flats) - start, (63 - label_bits) // width, cut)
-            cut = len(flats)
+            count = min(len(flats) - start, (63 - int(label[-1]).bit_length()) // width)
             pkey, ckey = label.copy(), label.copy()
             for pflat, cflat in flats[start : start + count]:
                 for key, flat, positions in ((pkey, pflat, plain), (ckey, cflat, cipher)):
@@ -142,27 +138,17 @@ class RecoveryTree:
                         pkey >> width * (count - 1 - t), ckey >> width * (count - 1 - t)
                     )
                 )
-                # Pair by pair, pair `bad` is checked only on the positions still
-                # unpinned before it.  If it disagrees only on positions pinned
-                # earlier in this chunk, it passes: cut the chunk before it, and
-                # the next chunk starts at it with those positions pinned.
-                shift = width * (count - 1 - bad)
-                unpinned = _shared(pkey >> shift + width)
-                if not np.array_equal((pkey >> shift)[unpinned], (ckey >> shift)[unpinned]):
-                    raise InconsistentPair(
-                        "plain/cipher value counts disagree inside a leaf; the pair "
-                        "was not produced by a pure position permutation consistent "
-                        "with the earlier pairs",
-                        start + bad,
-                    )
-                cut = bad
-                continue
+                raise InconsistentPair(
+                    "plain/cipher value counts disagree inside a leaf; the pair "
+                    "was not produced by a pure position permutation consistent "
+                    "with the earlier pairs",
+                    start + bad,
+                )
 
-            # The count refining pair by pair makes: 2 x the positions still
-            # unpinned before each pair, i.e. sharing the prefix of the pairs
-            # before it with another position.
-            processed += 2 * len(pkey)
-            for t in range(1, count):
+            # The count refining pair by pair makes: 2 x the positions in
+            # multi-position leaves before each pair, i.e. sharing the prefix
+            # of the pairs before it with another position.
+            for t in range(count):
                 shared = int(np.count_nonzero(_shared(pkey >> width * (count - t))))
                 if not shared:
                     break
@@ -170,42 +156,29 @@ class RecoveryTree:
 
             starts = np.ones(len(pkey), dtype=bool)
             np.not_equal(pkey[1:], pkey[:-1], out=starts[1:])
-            leaf = np.cumsum(starts) - 1
-            multi = np.bincount(leaf) > 1
-            keep = multi[leaf]
-            plain_sorted = plain[porder]
-            cipher_sorted = cipher[corder]
-            pinned.append((plain_sorted, cipher_sorted, ~keep))
-            plain = plain_sorted[keep]
-            cipher = cipher_sorted[keep]
-            label = (np.cumsum(multi) - 1)[leaf[keep]]
+            label = np.cumsum(starts) - 1
+            plain = plain[porder]
+            cipher = cipher[corder]
             start += count
 
-        for positions, targets, singleton in pinned:
-            self._pinned[positions[singleton]] = targets[singleton]
         self._plain, self._cipher, self._label = plain, cipher, label
         self.positions_processed += processed
 
     def leaf_sets(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Copies of every leaf's (plain positions, cipher positions):
-        singletons in plain-position order, then the larger leaves."""
-        pinned = np.flatnonzero(self._pinned >= 0)
-        plain = np.concatenate((pinned, self._plain))
-        cipher = np.concatenate((self._pinned[pinned], self._cipher))
-        sizes = np.concatenate((np.ones(len(pinned), dtype=np.int64), np.bincount(self._label)))
-        bounds = np.cumsum(sizes)[:-1]
+        """Copies of every leaf's (plain positions, cipher positions), in
+        leaf order, singletons included."""
+        bounds = np.cumsum(np.bincount(self._label))[:-1]
+        plain, cipher = self._plain.copy(), self._cipher.copy()
         return list(zip(np.split(plain, bounds), np.split(cipher, bounds)))
 
     @property
     def leaf_count(self) -> int:
-        active_leaves = int(self._label[-1]) + 1 if len(self._label) else 0
-        return self.rows * self.cols - len(self._plain) + active_leaves
+        return int(self._label[-1]) + 1
 
     @property
     def singleton_fraction(self) -> float:
         """Fraction of grid positions already pinned with certainty."""
-        size = self.rows * self.cols
-        return (size - len(self._plain)) / size
+        return int(np.count_nonzero(np.bincount(self._label) == 1)) / len(self._label)
 
     def residual_ambiguity(self) -> float:
         """log2 of the number of permutations consistent with all pairs.
@@ -213,16 +186,18 @@ class RecoveryTree:
         That count is the product over leaves of cardinality!, accumulated in
         log space; zero means unique recovery.
         """
-        # Summed in leaf order: reports and sweep CSVs are compared byte for byte.
+        # Summed in leaf order: reports and sweep CSVs are compared byte for
+        # byte.  Singletons add lgamma(2) = 0.0 and are skipped.
+        sizes = np.bincount(self._label)
         total = 0.0
-        for cardinality in np.bincount(self._label).tolist():
+        for cardinality in sizes[sizes > 1].tolist():
             total += lgamma(cardinality + 1)
         return total / log(2.0)
 
     def estimate_map(self) -> PermutationMap:
         """Pick one consistent permutation: pair each leaf's k-th plain
         position with its k-th cipher position, both in row-major order."""
-        target = self._pinned.copy()
+        target = np.empty(len(self._plain), dtype=np.int64)
         target[self._plain] = self._cipher
         return PermutationMap(self.rows, self.cols, target)
 

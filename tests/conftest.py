@@ -74,11 +74,11 @@ def reference_encrypt(img, key) -> np.ndarray:
 
 def reference_refine(tree, pairs) -> None:
     """Refine a RecoveryTree one pair at a time, the way the attack did
-    before it sorted whole batches: key every unpinned position by (leaf,
-    value), stable-sort each side, check the sorted keys agree, split, pin the
-    singletons.  Positions pinned before a pair are not checked against it.
-    A disagreeing pair raises InconsistentPair with its index, leaving the
-    tree as the pairs before it left it.  Grids are assumed valid."""
+    before it sorted whole batches: key every position by (leaf, value),
+    stable-sort each side, check the sorted keys agree, split.  Every
+    position, singleton leaves included, is checked against every pair.  A
+    disagreeing pair raises InconsistentPair with its index, leaving the tree
+    as the pairs before it left it.  Grids are assumed valid."""
     for index, (plain, cipher) in enumerate(pairs):
         pflat, cflat = np.asarray(plain).reshape(-1), np.asarray(cipher).reshape(-1)
         base = tree._label * tree.arity
@@ -89,18 +89,13 @@ def reference_refine(tree, pairs) -> None:
         pkey = pkey[porder]
         if not np.array_equal(pkey, ckey[corder]):
             raise InconsistentPair("sorted keys disagree", index)
+        sizes = np.bincount(tree._label)
+        tree.positions_processed += 2 * int(np.count_nonzero(sizes[tree._label] > 1))
         starts = np.ones(len(pkey), dtype=bool)
         np.not_equal(pkey[1:], pkey[:-1], out=starts[1:])
-        leaf = np.cumsum(starts) - 1
-        multi = np.bincount(leaf) > 1
-        keep = multi[leaf]
-        plain_sorted = tree._plain[porder]
-        cipher_sorted = tree._cipher[corder]
-        tree._pinned[plain_sorted[~keep]] = cipher_sorted[~keep]
-        tree._plain = plain_sorted[keep]
-        tree._cipher = cipher_sorted[keep]
-        tree._label = (np.cumsum(multi) - 1)[leaf[keep]]
-        tree.positions_processed += 2 * len(pkey)
+        tree._plain = tree._plain[porder]
+        tree._cipher = tree._cipher[corder]
+        tree._label = np.cumsum(starts) - 1
 
 
 def naive_rank(segment) -> list[int]:

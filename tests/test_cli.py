@@ -142,6 +142,22 @@ class TestGenChosenAndAttack:
         assert main(["attack-known", str(out / "manifest.tsv"), "--out", str(tmp_path)]) == 1
         assert "pair #1" in capsys.readouterr().err
 
+    def test_junk_pair_is_rejected_without_a_map(self, tmp_path, key_file, capsys):
+        out = tmp_path / "chosen"
+        assert main(["gen-chosen", "16", "16", "--key", key_file, "--out", str(out)]) == 0
+        rng = np.random.default_rng(14)
+        write_pgm(out / "junk_plain.pgm", random_image(rng, 16, 16))
+        write_pgm(out / "junk_cipher.pgm", random_image(rng, 16, 16))
+        with open(out / "manifest.tsv", "a", encoding="utf-8") as fh:
+            fh.write("junk_plain.pgm\tjunk_cipher.pgm\n")
+        capsys.readouterr()
+        attack_out = tmp_path / "attack"
+        assert main(["attack-known", str(out / "manifest.tsv"), "--out", str(attack_out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: inconsistent pair (pair #11): ")
+        assert not (attack_out / "map.txt").exists()
+
 
 class TestFileErrors:
     """A bad input file makes one error line that starts with its path."""

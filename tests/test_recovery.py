@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -271,13 +272,16 @@ class TestBatchRefine:
     @settings(max_examples=80, deadline=None)
     @given(case=batches(), where=st.floats(0.0, 1.0), unpinned=st.booleans(), pick=st.integers(0, 10**6))
     def test_corrupted_pair_matches_oracle(self, case, where, unpinned, pick):
+        # One changed cipher cell changes the pair's value counts in that
+        # cell's leaf, pinned or not, so both must reject the pair.
         arity, rows, cols, pairs = case
         bad = min(int(where * len(pairs)), len(pairs) - 1)
         before = RecoveryTree(rows, cols, arity)
         reference_refine(before, pairs[:bad])
-        # Oracle-unpinned cells make the oracle reject; pinned ones it lets pass.
-        cells = before._cipher if unpinned and len(before._cipher) else np.arange(rows * cols)
-        cell = int(cells[pick % len(cells)])
+        leaves = [cipher.tolist() for _, cipher in before.leaf_sets()]
+        open_cells = [cell for leaf in leaves if len(leaf) > 1 for cell in leaf]
+        cells = open_cells if unpinned and open_cells else [cell for leaf in leaves for cell in leaf]
+        cell = cells[pick % len(cells)]
         plain, cipher = pairs[bad]
         cipher = cipher.copy()
         cipher.reshape(-1)[cell] = (int(cipher.reshape(-1)[cell]) + 1) % arity
@@ -285,40 +289,89 @@ class TestBatchRefine:
 
         oracle, batch = RecoveryTree(rows, cols, arity), RecoveryTree(rows, cols, arity)
         fresh = tree_state(batch)
-        expected = refine_outcome(reference_refine, oracle, pairs)
-        assert refine_outcome(RecoveryTree.refine, batch, pairs) == expected
-        if expected is None:
-            assert tree_state(batch) == tree_state(oracle)
-        else:
-            assert expected == bad
-            assert tree_state(batch) == fresh
+        assert refine_outcome(reference_refine, oracle, pairs) == bad
+        assert tree_state(oracle) == tree_state(before)
+        assert refine_outcome(RecoveryTree.refine, batch, pairs) == bad
+        assert tree_state(batch) == fresh
 
     @pytest.mark.parametrize("pinned_in_chunk", [False, True])
     def test_corruption_in_later_chunk(self, pinned_in_chunk):
-        # Pair 100 lies in the second 63-pair chunk.  Corrupted at a cell still
-        # unpinned before it, the oracle rejects it; at a cell pinned earlier
-        # in that chunk, the oracle lets it pass, and so must the batch.
+        # Pair 100 lies in the second 63-pair chunk.  Corrupted at a cell in a
+        # multi-position leaf before it, or at a cell pinned earlier in that
+        # chunk, it fits no permutation, and the whole batch is rejected.
         pairs = permuted_pairs(12, 2, 16, 2, 130, 0.03)
         bad = 100
-        unpinned = {}
+        open_cells = {}
         for count in (63, bad):
             tree = RecoveryTree(2, 16, 2)
             reference_refine(tree, pairs[:count])
-            unpinned[count] = set(tree._cipher.tolist())
-        cell = min(unpinned[63] - unpinned[bad] if pinned_in_chunk else unpinned[bad])
+            open_cells[count] = {int(c) for _, leaf in tree.leaf_sets() if len(leaf) > 1 for c in leaf}
+        cell = min(open_cells[63] - open_cells[bad] if pinned_in_chunk else open_cells[bad])
         plain, cipher = pairs[bad]
         cipher = cipher.copy()
         cipher.reshape(-1)[cell] ^= 1
         pairs[bad] = (plain, cipher)
 
         oracle, batch = RecoveryTree(2, 16, 2), RecoveryTree(2, 16, 2)
-        expected = refine_outcome(reference_refine, oracle, pairs)
-        assert expected == (None if pinned_in_chunk else bad)
-        assert refine_outcome(RecoveryTree.refine, batch, pairs) == expected
-        if pinned_in_chunk:
-            assert tree_state(batch) == tree_state(oracle)
-        else:
-            assert tree_state(batch) == tree_state(RecoveryTree(2, 16, 2))
+        assert refine_outcome(reference_refine, oracle, pairs) == bad
+        assert refine_outcome(RecoveryTree.refine, batch, pairs) == bad
+        assert tree_state(batch) == tree_state(RecoveryTree(2, 16, 2))
+
+    def test_wide_label_at_chunk_edge(self):
+        # 63 pairs leave over 2048 leaves, so the second chunk of one batch,
+        # and the second batch of a split one, start with a 12-bit label.
+        pairs = permuted_pairs(13, 64, 64, 2, 130, 0.1)
+        first = RecoveryTree(64, 64, 2)
+        first.refine(pairs[:63])
+        assert int(first._label[-1]).bit_length() >= 12
+        oracle = RecoveryTree(64, 64, 2)
+        reference_refine(oracle, pairs)
+        once, twice = RecoveryTree(64, 64, 2), RecoveryTree(64, 64, 2)
+        once.refine(pairs)
+        twice.refine(pairs[:63])
+        twice.refine(pairs[63:])
+        assert tree_state(once) == tree_state(oracle)
+        assert tree_state(twice) == tree_state(oracle)
+
+
+class TestBruteForce:
+    """Every permutation of a tiny grid, against one pair at a time."""
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("rows,cols", [(1, 4), (1, 5), (2, 3), (1, 6)])
+    def test_refine_keeps_exactly_the_fitting_permutations(self, rows, cols, arity):
+        rng = np.random.default_rng(rows * 100 + cols * 10 + arity)
+        size = rows * cols
+        everything = np.array(list(itertools.permutations(range(size))))
+        for trial in range(20):
+            perm = rng.permutation(size)
+            tree = RecoveryTree(rows, cols, arity)
+            fitting = everything
+            for _ in range(6):
+                plain = rng.integers(0, arity, size)
+                cipher = np.empty(size, dtype=np.int64)
+                cipher[perm] = plain
+                damage = rng.integers(0, 3)
+                if damage == 1:  # one changed cell
+                    cell = rng.integers(size)
+                    cipher[cell] = (cipher[cell] + rng.integers(1, arity)) % arity
+                elif damage == 2:  # two swapped cells
+                    i, j = rng.choice(size, 2, replace=False)
+                    cipher[i], cipher[j] = cipher[j], cipher[i]
+                # target[p] = c sends plain position p to cipher position c
+                fits = fitting[np.all(cipher[fitting] == plain, axis=1)]
+                before = tree_state(tree)
+                pair = (plain.reshape(rows, cols), cipher.reshape(rows, cols))
+                if len(fits):
+                    tree.refine([pair])
+                    fitting = fits
+                    assert round(2 ** tree.residual_ambiguity()) == len(fitting)
+                    target = tree.estimate_map().target
+                    assert np.all(fitting == target, axis=1).any()
+                else:
+                    with pytest.raises(InconsistentPair):
+                        tree.refine([pair])
+                    assert tree_state(tree) == before
 
 
 class TestEstimateAndAmbiguity:
@@ -477,6 +530,17 @@ class TestAttack:
         with pytest.raises(InconsistentPair) as excinfo:
             attack(pairs, mode="bit")
         assert excinfo.value.pair_index == 2
+
+    def test_junk_pair_after_chosen_set_is_rejected(self):
+        # The chosen set pins every position, so pair #11 is checked on all
+        # of them; two unrelated random images fit no permutation.
+        rng = np.random.default_rng(13)
+        key = random_key(rng)
+        pairs = [(p, encrypt(p, key)) for p in construct_chosen_plaintexts(16, 16)]
+        pairs.append((random_image(rng, 16, 16), random_image(rng, 16, 16)))
+        with pytest.raises(InconsistentPair) as excinfo:
+            attack(pairs, mode="bit")
+        assert excinfo.value.pair_index == 11
 
     def test_linear_work_certificate(self):
         rng = np.random.default_rng(8)
