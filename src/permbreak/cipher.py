@@ -24,8 +24,9 @@ import numpy as np
 from .keystream import Key, build_schedule
 from .pgm import _path_in_errors
 
-# Lines of a map file formatted per write: large enough that the per-chunk
-# cost vanishes, small enough that the Python ints of one chunk stay small.
+# Lines of a map file built per write: large enough that the per-chunk cost
+# vanishes (65536 was no faster), small enough that one chunk's buffer is tens
+# of kilobytes.
 MAP_CHUNK_LINES = 4096
 
 
@@ -157,20 +158,40 @@ def apply_inverse(pmap: PermutationMap, grid) -> np.ndarray:
     return g.reshape(-1)[pmap.target].reshape(g.shape)
 
 
+def _digit_table(count: int, end: bytes) -> np.ndarray:
+    """Row v holds the decimal digits of v, right-aligned and padded with NUL
+    on the left, then the byte ``end``; one raw (void) item per row."""
+    powers = 10 ** np.arange(len(str(count - 1)) - 1, -1, -1)
+    values = np.arange(count)[:, None]
+    digits = np.where(values >= powers, values // powers % 10 + ord("0"), 0)
+    digits[0, -1] = ord("0")  # zero's one digit, which values >= powers misses
+    table = np.column_stack((digits, np.full(count, ord(end)))).astype(np.uint8)
+    return table.view(f"V{table.shape[1]}").ravel()
+
+
 def save_permutation(pmap: PermutationMap, path) -> None:
     """Write a map as text: header ``rows cols``, then one ``i l i' l'`` per line.
 
     The bytes are those ``np.savetxt(fmt="%d")`` writes (single spaces, ``\\n``
-    endings, no padding), formatted one chunk of lines per ``%`` call.
+    endings, no padding).  Each chunk of lines is gathered from per-shape digit
+    tables into one fixed-width record per line, and the NUL padding is
+    dropped from its bytes.
     """
-    cols = pmap.cols
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{pmap.rows} {cols}\n")
+    rows, cols = pmap.rows, pmap.cols
+    row, col = _digit_table(rows, b" "), _digit_table(cols, b" ")
+    tables = (row, col, row, _digit_table(cols, b"\n"))
+    line = np.dtype([(f"f{k}", table.dtype) for k, table in enumerate(tables)])
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d\n" % (rows, cols))
         for start in range(0, pmap.target.size, MAP_CHUNK_LINES):
             dst = pmap.target[start : start + MAP_CHUNK_LINES]
-            src = np.arange(start, start + dst.size, dtype=np.int64)
-            quads = np.column_stack((src // cols, src % cols, dst // cols, dst % cols))
-            fh.write(("%d %d %d %d\n" * dst.size) % tuple(quads.ravel().tolist()))
+            src = np.arange(start, start + dst.size)
+            buf = np.empty(dst.size, dtype=line)
+            for name, table, index in zip(
+                line.names, tables, (src // cols, src % cols, dst // cols, dst % cols)
+            ):
+                buf[name] = table[index]
+            fh.write(buf.tobytes().replace(b"\0", b""))
 
 
 @_path_in_errors

@@ -17,8 +17,8 @@ ciphertext, which is when the two sides' sorted keys differ.
 ``positions_processed`` is the pair-by-pair algorithm's count (2 x the
 positions in multi-position leaves before each pair), computed from the
 sorted keys: it certifies the paper's O(n0 * grid) bound, but does not tally
-the work done, which is one gather per pair and side plus one sort per 63
-key bits.
+the work done, which is one gather per pair and side plus one 16-bit radix
+pass per side per 16 key bits (keys are cut into chunks of at most 63 bits).
 
 The binary case (L = 2) attacks the bit-permutation cipher after bit-plane
 expansion; the general case (any L up to 256 here) breaks any
@@ -61,6 +61,18 @@ def _shared(keys: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _stable_order(keys: np.ndarray, bits: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in [0, 2**bits).
+
+    Least significant digit first, one stable pass per 16-bit digit: NumPy
+    sorts uint16 with a radix sort, where int64 gets timsort.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, bits, 16):
+        order = order[np.argsort((keys >> shift).astype(np.uint16)[order], kind="stable")]
+    return order
+
+
 class RecoveryTree:
     """Partition refinement over matched plain/cipher position sets.
 
@@ -91,7 +103,8 @@ class RecoveryTree:
         then its value in each pair, the first pair most significant.  One
         stable sort per side by that key ends at the leaves that refining
         pair by pair reaches: in lexicographic order of value sequence,
-        row-major inside each leaf.  The sorted keys must agree, or some leaf
+        row-major inside each leaf.  The sort is a radix sort, one stable
+        uint16 pass per 16 key bits.  The sorted keys must agree, or some leaf
         would send different numbers of plain and cipher positions to one
         value sequence, and no permutation fitting the pairs before it maps
         that pair's plaintext onto its ciphertext.  Then InconsistentPair is
@@ -126,8 +139,9 @@ class RecoveryTree:
                     np.bitwise_or(key, flat[positions], out=key, dtype=np.int64, casting="unsafe")
             # Stable sorts keep ascending (row-major) order inside each new leaf,
             # which the in-order pairing of estimate_map relies on.
-            porder = np.argsort(pkey, kind="stable")
-            corder = np.argsort(ckey, kind="stable")
+            bits = int(label[-1]).bit_length() + count * width
+            porder = _stable_order(pkey, bits)
+            corder = _stable_order(ckey, bits)
             pkey, ckey = pkey[porder], ckey[corder]
             if not np.array_equal(pkey, ckey):
                 # Shifting the last pairs off keeps both sides sorted, so the

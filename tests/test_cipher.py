@@ -1,4 +1,5 @@
 import hashlib
+import io
 import re
 import warnings
 from dataclasses import replace
@@ -356,8 +357,15 @@ class TestPermutationMap:
                 b"1 8\n0 0 0 1\n",
                 "f7bb8df561c7987d649b277d2ec9b8b6950c007e4a2e4f0026dd5aaa3d2ae563",
             ),
+            # 1-2 digit rows and 1-4 digit columns, so field widths change
+            # inside a line and between lines; 13520 lines are four chunks.
+            (
+                lambda: compose_permutation(REFERENCE_KEY, 13, 130),
+                b"13 1040\n0 0 5 415\n",
+                "2435c0969f9b60c4026452447d9bdeb76ef701c9311e5c9f9490f078c6fe314b",
+            ),
         ],
-        ids=["37x37_three_chunks", "1x1_identity", "1x8_roll"],
+        ids=["37x37_three_chunks", "1x1_identity", "1x8_roll", "13x130_mixed_widths"],
     )
     def test_saved_bytes_match_golden(self, tmp_path, make, head, digest):
         path = tmp_path / "map.txt"
@@ -365,6 +373,21 @@ class TestPermutationMap:
         data = path.read_bytes()
         assert data.startswith(head)
         assert hashlib.sha256(data).hexdigest() == digest
+
+    # Rows and cols up to 120 cross the 9/10 and 99/100 digit edges.
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 120), cols=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+    def test_saved_bytes_match_savetxt(self, tmp_path_factory, rows, cols, seed):
+        target = np.random.default_rng(seed).permutation(rows * cols)
+        path = tmp_path_factory.mktemp("map") / "map.txt"
+        save_permutation(PermutationMap(rows, cols, target), path)
+        src = np.arange(rows * cols)
+        expected = io.BytesIO()
+        expected.write(f"{rows} {cols}\n".encode("ascii"))
+        np.savetxt(
+            expected, np.column_stack((src // cols, src % cols, target // cols, target % cols)), fmt="%d"
+        )
+        assert path.read_bytes() == expected.getvalue()
 
     @pytest.mark.parametrize("header", ["0 5", "-1 -1", "a b", "2", "2 8 1", "", "1_0 8"])
     def test_load_rejects_bad_header(self, tmp_path, header):

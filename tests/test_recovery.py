@@ -24,6 +24,7 @@ from permbreak.keystream import Key, random_key
 from permbreak.recovery import (
     InconsistentPair,
     RecoveryTree,
+    _stable_order,
     attack,
     chosen_plaintext_count,
     construct_chosen_plaintexts,
@@ -332,6 +333,57 @@ class TestBatchRefine:
         twice.refine(pairs[63:])
         assert tree_state(once) == tree_state(oracle)
         assert tree_state(twice) == tree_state(oracle)
+
+
+class TestStableOrder:
+    """The 16-bit radix passes refine sorts with, against int64 argsort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.one_of(st.sampled_from([1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63]), st.integers(1, 63)),
+        length=st.one_of(st.sampled_from([1, 2, 5000]), st.integers(1, 5000)),
+        distinct=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 5000)),
+        extremes=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_stable_argsort(self, bits, length, distinct, extremes, seed):
+        # Few distinct values give heavy duplicates, one gives all-equal keys.
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 2**bits, distinct, dtype=np.int64)
+        if extremes:
+            pool[: min(distinct, 2)] = [0, 2**bits - 1][: min(distinct, 2)]
+        keys = pool[rng.integers(0, distinct, length)]
+        assert np.array_equal(_stable_order(keys, bits), np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize(
+        "arity, grid, counts",
+        [
+            (2, (16, 128), [16]),  # the default sweep's largest batch: one pass
+            (2, (16, 128), [17]),
+            (2, (16, 128), [11, 9]),  # the second batch's key carries a label
+            (256, (32, 32), [3]),  # byte-known's batch: 24 bits, two passes
+            (256, (32, 32), [7]),  # 56 bits, four passes
+        ],
+    )
+    def test_refine_sorts_uint16_only(self, monkeypatch, arity, grid, counts):
+        # A key sorted as int64 would fall back to timsort without failing
+        # any output check, so every sort refine makes is recorded.
+        rows, cols = grid
+        pairs = permuted_pairs(15, rows, cols, arity, sum(counts), 0.5)
+        argsort, dtypes = np.argsort, []
+
+        def recording_argsort(a, **kwargs):
+            dtypes.append(a.dtype)
+            return argsort(a, **kwargs)
+
+        tree = RecoveryTree(rows, cols, arity)
+        for start, count in zip(np.cumsum([0] + counts), counts):
+            bits = (tree.leaf_count - 1).bit_length() + count * (arity - 1).bit_length()
+            dtypes.clear()
+            monkeypatch.setattr(np, "argsort", recording_argsort)
+            tree.refine(pairs[start : start + count])
+            monkeypatch.undo()
+            assert dtypes == [np.dtype(np.uint16)] * (2 * -(-bits // 16))
 
 
 class TestBruteForce:
