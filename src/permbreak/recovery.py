@@ -8,17 +8,17 @@ root holds the whole grid.  A leaf of cardinality one pins a plain position
 to its cipher position with certainty; a leaf of cardinality c leaves c!
 orderings open.  The leaves are kept as flat label arrays over the whole
 grid, singletons included, and a batch of pairs is refined at once: each
-position's leaf label and value sequence are packed into one int64 key per
-side, one stable sort per side groups equal keys, and the leaves split where
-the key changes.  That is the partition refining pair by pair reaches, and
-no position is compared pairwise.  A pair is rejected exactly when no
+side is ordered by one stable lexicographic sort of (leaf label, value in
+every pair), and the leaves split where a pair's value changes along the
+sorted arrays.  That is the partition refining pair by pair reaches, and no
+position is compared pairwise.  A pair is rejected exactly when no
 permutation fitting the pairs accepted before it maps its plaintext onto its
-ciphertext, which is when the two sides' sorted keys differ.
-``positions_processed`` is the pair-by-pair algorithm's count (2 x the
-positions in multi-position leaves before each pair), computed from the
-sorted keys: it certifies the paper's O(n0 * grid) bound, but does not tally
-the work done, which is one gather per pair and side plus one 16-bit radix
-pass per side per 16 key bits (keys are cut into chunks of at most 63 bits).
+ciphertext, which is at the first pair whose values differ between the two
+sorted sides.  ``positions_processed`` is the pair-by-pair algorithm's count
+(2 x the positions in multi-position leaves before each pair), read off the
+sorted arrays: it certifies the paper's O(n0 * grid) bound.  The work done
+is one lexsort per side, a radix pass per uint16 key of packed values, plus
+a few passes over the grid per pair.
 
 The binary case (L = 2) attacks the bit-permutation cipher after bit-plane
 expansion; the general case (any L up to 256 here) breaks any
@@ -41,36 +41,16 @@ class InconsistentPair(ValueError):
     """A pair that no position permutation fitting the earlier pairs can
     produce.
 
-    Raised before any leaf of the tree is modified, so the tree still
-    reflects exactly the batches accepted so far.  ``pair_index`` names the
-    offending pair by its index in the batch given to
+    That is the first pair of a batch whose sorted plain values differ from
+    its sorted cipher values.  Raised before any leaf of the tree is
+    modified, so the tree still reflects exactly the batches accepted so
+    far.  ``pair_index`` names the pair by its index in the batch given to
     :meth:`RecoveryTree.refine`, and so in the pairs given to :func:`attack`.
     """
 
     def __init__(self, message: str, pair_index: int):
         super().__init__(message)
         self.pair_index = pair_index
-
-
-def _shared(keys: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that equal a neighbour."""
-    same = keys[1:] == keys[:-1]
-    mask = np.zeros(len(keys), dtype=bool)
-    mask[1:] = same
-    mask[:-1] |= same
-    return mask
-
-
-def _stable_order(keys: np.ndarray, bits: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for keys in [0, 2**bits).
-
-    Least significant digit first, one stable pass per 16-bit digit: NumPy
-    sorts uint16 with a radix sort, where int64 gets timsort.
-    """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    for shift in range(16, bits, 16):
-        order = order[np.argsort((keys >> shift).astype(np.uint16)[order], kind="stable")]
-    return order
 
 
 class RecoveryTree:
@@ -99,19 +79,20 @@ class RecoveryTree:
     def refine(self, pairs) -> None:
         """Split every leaf by the values of a batch of pairs.
 
-        Each position gets one int64 key per side: its leaf label on top,
-        then its value in each pair, the first pair most significant.  One
-        stable sort per side by that key ends at the leaves that refining
-        pair by pair reaches: in lexicographic order of value sequence,
-        row-major inside each leaf.  The sort is a radix sort, one stable
-        uint16 pass per 16 key bits.  The sorted keys must agree, or some leaf
-        would send different numbers of plain and cipher positions to one
-        value sequence, and no permutation fitting the pairs before it maps
-        that pair's plaintext onto its ciphertext.  Then InconsistentPair is
-        raised with the batch index of the first pair whose prefix disagrees,
-        and the tree is untouched, since the whole batch is rejected.  A
-        batch wider than the 63 key bits is refined chunk by chunk.  Every
-        pair's shape is checked before any sort.
+        Each side is ordered by one stable ``np.lexsort`` over (leaf label,
+        value in pair 0, value in pair 1, ...), with the values packed
+        16 // bits-per-value pairs to a uint16 key, the first pair most
+        significant, so that NumPy sorts each key with a radix sort.  That
+        order ends at the leaves refining pair by pair reaches: in
+        lexicographic order of value sequence, row-major inside each leaf.
+        One pass over the pairs then reads the split off the sorted arrays:
+        a new leaf starts wherever a pair's value changes.  Pair t's sorted
+        plain and cipher values must agree, or some leaf would send different
+        numbers of plain and cipher positions to one value sequence, and no
+        permutation fitting the pairs before t maps pair t's plaintext onto
+        its ciphertext.  Then InconsistentPair is raised with index t before
+        the tree is touched, so the whole batch is rejected.  Every pair's
+        shape is checked before any sort.
         """
         flats = []
         for index, (p, c) in enumerate(pairs):
@@ -124,58 +105,47 @@ class RecoveryTree:
                     )
             except ShapeError as exc:
                 raise ShapeError(f"pair #{index}: {exc}") from None
-            flats.append((pgrid.reshape(-1), cgrid.reshape(-1)))
+            # Values lie below arity <= 256, so uint8 holds them exactly.
+            flats.append(tuple(g.reshape(-1).astype(np.uint8, copy=False) for g in (pgrid, cgrid)))
 
-        width = (self.arity - 1).bit_length()  # key bits per pair
-        plain, cipher, label = self._plain, self._cipher, self._label
-        start, processed = 0, 0
-        while start < len(flats):
-            count = min(len(flats) - start, (63 - int(label[-1]).bit_length()) // width)
-            pkey, ckey = label.copy(), label.copy()
-            for pflat, cflat in flats[start : start + count]:
-                for key, flat, positions in ((pkey, pflat, plain), (ckey, cflat, cipher)):
+        width = (self.arity - 1).bit_length()  # bits per value
+        step = 16 // width  # pairs per uint16 sort key
+        label = self._label
+        sides = []
+        for side, positions in enumerate((self._plain, self._cipher)):
+            keys = [label]
+            for first in range(0, len(flats), step):
+                key = np.zeros(len(label), dtype=np.uint16)
+                for flat in flats[first : first + step]:
                     key <<= width
-                    # unsafe only admits uint64 grids, whose values are below arity
-                    np.bitwise_or(key, flat[positions], out=key, dtype=np.int64, casting="unsafe")
-            # Stable sorts keep ascending (row-major) order inside each new leaf,
-            # which the in-order pairing of estimate_map relies on.
-            bits = int(label[-1]).bit_length() + count * width
-            porder = _stable_order(pkey, bits)
-            corder = _stable_order(ckey, bits)
-            pkey, ckey = pkey[porder], ckey[corder]
-            if not np.array_equal(pkey, ckey):
-                # Shifting the last pairs off keeps both sides sorted, so the
-                # first pair whose prefix disagrees is found by comparison.
-                bad = next(
-                    t for t in range(count)
-                    if not np.array_equal(
-                        pkey >> width * (count - 1 - t), ckey >> width * (count - 1 - t)
-                    )
-                )
+                    key |= flat[side]
+                keys.append(key[positions])
+            # np.lexsort's last key is its primary one.  Stable, so each new
+            # leaf keeps ascending (row-major) order, which the in-order
+            # pairing of estimate_map relies on.
+            sides.append(positions[np.lexsort(keys[::-1])])
+        plain, cipher = sides
+
+        # The sorted labels are the labels: they never decrease.
+        starts = np.ones(len(label), dtype=bool)
+        np.not_equal(label[1:], label[:-1], out=starts[1:])
+        processed = 0
+        for index, (pflat, cflat) in enumerate(flats):
+            values = pflat[plain]
+            if not (values == cflat[cipher]).all():
                 raise InconsistentPair(
                     "plain/cipher value counts disagree inside a leaf; the pair "
                     "was not produced by a pure position permutation consistent "
                     "with the earlier pairs",
-                    start + bad,
+                    index,
                 )
-
             # The count refining pair by pair makes: 2 x the positions in
-            # multi-position leaves before each pair, i.e. sharing the prefix
-            # of the pairs before it with another position.
-            for t in range(count):
-                shared = int(np.count_nonzero(_shared(pkey >> width * (count - t))))
-                if not shared:
-                    break
-                processed += 2 * shared
+            # multi-position leaves before each pair.
+            singletons = int(np.count_nonzero(starts[:-1] & starts[1:]) + starts[-1])
+            processed += 2 * (len(starts) - singletons)
+            starts[1:] |= values[1:] != values[:-1]
 
-            starts = np.ones(len(pkey), dtype=bool)
-            np.not_equal(pkey[1:], pkey[:-1], out=starts[1:])
-            label = np.cumsum(starts) - 1
-            plain = plain[porder]
-            cipher = cipher[corder]
-            start += count
-
-        self._plain, self._cipher, self._label = plain, cipher, label
+        self._plain, self._cipher, self._label = plain, cipher, np.cumsum(starts) - 1
         self.positions_processed += processed
 
     def leaf_sets(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -340,11 +310,11 @@ def attack(pairs, mode: str = "bit") -> tuple[PermutationMap, AttackReport]:
     mode "bit": pairs are expanded to M x 8N bit grids and refined with
     L = 2, breaking the bit-permutation cipher.  mode "byte": pixel grids
     are refined directly with L = 256, which breaks any permutation-only
-    scheme on bytes.  All pairs are refined as one batch.  Returns the
-    estimated map plus an AttackReport; positions_processed in the report
-    is the pair-by-pair algorithm's count, computed from the sorted keys,
-    and certifies the linear work bound (at most 2 * n0 * grid positions)
-    without tallying the work done.
+    scheme on bytes.  All pairs are refined as one batch, one sort per
+    side.  Returns the estimated map plus an AttackReport; positions_processed
+    in the report is the pair-by-pair algorithm's count, read off the sorted
+    arrays, and certifies the linear work bound (at most 2 * n0 * grid
+    positions) without tallying the work done.
     """
     if mode not in ("bit", "byte"):
         raise ValueError(f"mode must be 'bit' or 'byte', got {mode!r}")

@@ -24,7 +24,6 @@ from permbreak.keystream import Key, random_key
 from permbreak.recovery import (
     InconsistentPair,
     RecoveryTree,
-    _stable_order,
     attack,
     chosen_plaintext_count,
     construct_chosen_plaintexts,
@@ -64,11 +63,19 @@ def permuted_pairs(seed, rows, cols, arity, count, density, repeat=1):
 
 @st.composite
 def batches(draw):
-    """(arity, rows, cols, pairs): bit batches of up to 130 pairs and byte
-    batches of up to 20, both across their 63- and 7-pair chunk edges."""
-    arity, most, edge = draw(st.sampled_from([(2, 130, 63), (256, 20, 7)]))
+    """(arity, rows, cols, pairs): bit batches of up to 130 pairs, byte
+    batches of up to 20, and arities 3, 5 and 17, whose values leave spare
+    bits in refine's uint16 sort keys.  Counts are also drawn at and one past
+    a full first key (16/17 bit pairs, 2/3 byte pairs, 8/9, 5/6, 3/4), and
+    at 63/64 bit and 7/8 byte pairs: several keys, the last partly filled or
+    full."""
+    arity, most, edge = draw(
+        st.sampled_from([(2, 130, 63), (256, 20, 7), (3, 40, 8), (5, 30, 5), (17, 20, 3)])
+    )
+    step = 16 // (arity - 1).bit_length()
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 24))
-    count = draw(st.one_of(st.sampled_from([edge, edge + 1, most]), st.integers(1, most)))
+    edges = [edge, edge + 1, step, step + 1, most]
+    count = draw(st.one_of(st.sampled_from(edges), st.integers(1, most)))
     density = draw(st.sampled_from([0.005, 0.02, 0.1, 0.5]))
     repeat = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -297,9 +304,10 @@ class TestBatchRefine:
 
     @pytest.mark.parametrize("pinned_in_chunk", [False, True])
     def test_corruption_in_later_chunk(self, pinned_in_chunk):
-        # Pair 100 lies in the second 63-pair chunk.  Corrupted at a cell in a
-        # multi-position leaf before it, or at a cell pinned earlier in that
-        # chunk, it fits no permutation, and the whole batch is rejected.
+        # Pair 100 lies in the seventh of the batch's nine uint16 sort keys.
+        # Corrupted at a cell in a multi-position leaf before it, or at a
+        # cell that pairs 63-99 pinned, it fits no permutation, and the whole
+        # batch is rejected.
         pairs = permuted_pairs(12, 2, 16, 2, 130, 0.03)
         bad = 100
         open_cells = {}
@@ -319,8 +327,9 @@ class TestBatchRefine:
         assert tree_state(batch) == tree_state(RecoveryTree(2, 16, 2))
 
     def test_wide_label_at_chunk_edge(self):
-        # 63 pairs leave over 2048 leaves, so the second chunk of one batch,
-        # and the second batch of a split one, start with a 12-bit label.
+        # 63 pairs leave over 2048 leaves, so the second batch of the split
+        # one is sorted with a label of at least 12 bits as its primary key;
+        # the single batch sorts all 130 pairs by nine uint16 keys.
         pairs = permuted_pairs(13, 64, 64, 2, 130, 0.1)
         first = RecoveryTree(64, 64, 2)
         first.refine(pairs[:63])
@@ -336,54 +345,81 @@ class TestBatchRefine:
 
 
 class TestStableOrder:
-    """The 16-bit radix passes refine sorts with, against int64 argsort."""
+    """refine's lexsort over uint16 keys against one stable argsort of the
+    whole int64 key, and the dtype of every key it sorts."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        bits=st.one_of(st.sampled_from([1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63]), st.integers(1, 63)),
-        length=st.one_of(st.sampled_from([1, 2, 5000]), st.integers(1, 5000)),
-        distinct=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 5000)),
-        extremes=st.booleans(),
+        arity=st.sampled_from([2, 3, 5, 17, 256]),
+        before=st.integers(0, 4),
+        keys=st.integers(1, 4),
+        offset=st.sampled_from([-1, 0, 1]),
+        free=st.one_of(st.none(), st.integers(1, 63)),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 24),
+        density=st.sampled_from([0.02, 0.1, 0.5]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_stable_argsort(self, bits, length, distinct, extremes, seed):
-        # Few distinct values give heavy duplicates, one gives all-equal keys.
-        rng = np.random.default_rng(seed)
-        pool = rng.integers(0, 2**bits, distinct, dtype=np.int64)
-        if extremes:
-            pool[: min(distinct, 2)] = [0, 2**bits - 1][: min(distinct, 2)]
-        keys = pool[rng.integers(0, distinct, length)]
-        assert np.array_equal(_stable_order(keys, bits), np.argsort(keys, kind="stable"))
+    def test_equals_stable_argsort(self, arity, before, keys, offset, free, rows, cols, density, seed):
+        # Unless drawn freely, the count is one below, at or one above a
+        # whole number of full uint16 keys (16/17 bit pairs, 2/3 byte pairs,
+        # ...).  Up to 4 pairs before the batch give the tree labels of its
+        # own, and the count is capped where the int64 key reaches 63 bits.
+        width = (arity - 1).bit_length()
+        count = free or keys * (16 // width) + offset
+        pairs = permuted_pairs(seed, rows, cols, arity, before + count, density)
+        tree = RecoveryTree(rows, cols, arity)
+        tree.refine(pairs[:before])
+        count = max(1, min(count, (63 - (tree.leaf_count - 1).bit_length()) // width))
+        batch = pairs[before : before + count]
+        expected = []
+        for side, positions in enumerate((tree._plain, tree._cipher)):
+            key = tree._label.copy()
+            for pair in batch:
+                key = key << width | pair[side].reshape(-1)[positions].astype(np.int64)
+            order = np.argsort(key, kind="stable")
+            expected.append((positions[order], key[order]))
+        (plain, pkey), (cipher, ckey) = expected
+        assert np.array_equal(pkey, ckey)
+        starts = np.ones(len(pkey), dtype=bool)
+        np.not_equal(pkey[1:], pkey[:-1], out=starts[1:])
+
+        tree.refine(batch)
+        assert np.array_equal(tree._plain, plain)
+        assert np.array_equal(tree._cipher, cipher)
+        assert np.array_equal(tree._label, np.cumsum(starts) - 1)
 
     @pytest.mark.parametrize(
         "arity, grid, counts",
         [
-            (2, (16, 128), [16]),  # the default sweep's largest batch: one pass
-            (2, (16, 128), [17]),
-            (2, (16, 128), [11, 9]),  # the second batch's key carries a label
-            (256, (32, 32), [3]),  # byte-known's batch: 24 bits, two passes
-            (256, (32, 32), [7]),  # 56 bits, four passes
+            (2, (16, 128), [16]),  # the default sweep's largest batch: one key
+            (2, (16, 128), [17]),  # two keys, the second holding one pair
+            (2, (16, 128), [11, 9]),  # the second batch's primary key is a label
+            (256, (32, 32), [3]),  # byte-known's batch: two keys
+            (256, (32, 32), [7]),  # four keys
         ],
     )
     def test_refine_sorts_uint16_only(self, monkeypatch, arity, grid, counts):
-        # A key sorted as int64 would fall back to timsort without failing
-        # any output check, so every sort refine makes is recorded.
+        # A pair key wider than uint16 would fall back to a comparison sort
+        # without failing any output check, so every lexsort refine makes is
+        # recorded.
         rows, cols = grid
         pairs = permuted_pairs(15, rows, cols, arity, sum(counts), 0.5)
-        argsort, dtypes = np.argsort, []
+        lexsort, calls = np.lexsort, []
 
-        def recording_argsort(a, **kwargs):
-            dtypes.append(a.dtype)
-            return argsort(a, **kwargs)
+        def recording_lexsort(keys, *args, **kwargs):
+            calls.append([key.dtype for key in keys])
+            return lexsort(keys, *args, **kwargs)
 
+        step = 16 // (arity - 1).bit_length()
         tree = RecoveryTree(rows, cols, arity)
         for start, count in zip(np.cumsum([0] + counts), counts):
-            bits = (tree.leaf_count - 1).bit_length() + count * (arity - 1).bit_length()
-            dtypes.clear()
-            monkeypatch.setattr(np, "argsort", recording_argsort)
+            calls.clear()
+            monkeypatch.setattr(np, "lexsort", recording_lexsort)
             tree.refine(pairs[start : start + count])
             monkeypatch.undo()
-            assert dtypes == [np.dtype(np.uint16)] * (2 * -(-bits // 16))
+            # the label comes last, as lexsort's primary key
+            assert calls == [[np.dtype(np.uint16)] * -(-count // step) + [np.dtype(np.int64)]] * 2
 
 
 class TestBruteForce:
@@ -611,11 +647,20 @@ class TestAttack:
         monkeypatch.setattr(RecoveryTree, "refine", lambda tree, pairs: calls.append(1) or refine(tree, pairs))
         rng = np.random.default_rng(12)
         key = random_key(rng)
+        # one uint16 sort key for 1 and 12 pairs, four for 63
         for count in (1, 12, 63):
             calls.clear()
             pairs = [(p, encrypt(p, key)) for p in (random_image(rng, 2, 2) for _ in range(count))]
             attack(pairs, mode="bit")
             assert len(calls) == 1
+
+    def test_report_fields_are_python_scalars(self):
+        # perfbench serialises the report with json, which takes no NumPy scalars.
+        rng = np.random.default_rng(13)
+        pairs = [(p, encrypt(p, REFERENCE_KEY)) for p in (random_image(rng, 4, 4) for _ in range(6))]
+        _, report = attack(pairs, mode="bit")
+        assert [type(v) for v in (report.pairs_used, report.leaf_count, report.positions_processed)] == [int] * 3
+        assert [type(v) for v in (report.singleton_fraction, report.residual_log2)] == [float] * 2
 
     def test_report_csv_row_shape(self):
         zero = np.zeros((2, 2), dtype=np.uint8)
@@ -709,7 +754,7 @@ class TestGoldenOutputs:
         )
 
     def test_byte_mode_6x6_two_chunks(self):
-        # 9 byte pairs: 7 fill the first 63-bit key, 2 more need a second sort.
+        # 9 byte pairs: five uint16 sort keys, the last holding one pair.
         rng = np.random.default_rng(2009)
         stub = PermutationMap(6, 6, rng.permutation(36).astype(np.int64))
         plains = [rng.integers(0, 2, size=(6, 6), dtype=np.uint8) for _ in range(9)]
