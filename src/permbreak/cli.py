@@ -35,7 +35,7 @@ from .cipher import (
 )
 from .keystream import Key, parse_key, random_key, trajectory_histogram
 from .pgm import _path_in_errors, read_pgm, write_pgm
-from .recovery import InconsistentPair, attack, construct_chosen_plaintexts, min_known_plaintexts
+from .recovery import attack, construct_chosen_plaintexts, min_known_plaintexts
 
 # Trajectory defaults: a classic weak control parameter with two probe seeds.
 TRAJECTORY_MU = 3.5786
@@ -67,7 +67,8 @@ def _read_manifest(path: str) -> list[tuple[str, str]]:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ValueError(f"line {line_no}: expected 'plain<TAB>cipher', got {line!r}")
-            pairs.append(tuple(os.path.join(base, f) if not os.path.isabs(f) else f for f in fields))
+            # os.path.join keeps an absolute entry as it is.
+            pairs.append(tuple(os.path.join(base, f) for f in fields))
     return pairs
 
 
@@ -113,8 +114,8 @@ def cmd_attack_known(args) -> int:
 
 def cmd_gen_chosen(args) -> int:
     key = _load_key(args.key) if args.key else None
-    os.makedirs(args.out, exist_ok=True)
     plains = construct_chosen_plaintexts(args.height, args.width)
+    os.makedirs(args.out, exist_ok=True)
     manifest_lines = []
     for t, img in enumerate(plains):
         plain_name = f"chosen_{t:02d}.pgm"
@@ -367,9 +368,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InconsistentPair as exc:
-        print(f"error: inconsistent pair (pair #{exc.pair_index}): {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,6 +4,7 @@ every file reader: a bad file raises a ValueError that starts with its path."""
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 
@@ -26,24 +27,16 @@ def _path_in_errors(read):
     return reader
 
 
+# Whitespace and '#' comments (to end of line), then one token.  In a bytes
+# pattern, \s is exactly the set of bytes that bytes.isspace() accepts.
+_TOKEN = re.compile(rb"\s*(?:#[^\n]*\s*)*(\S*)")
+
+
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comments, then collect one token.
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if not match.group(1):
         raise ValueError("truncated PGM header")
-    return data[start:pos], pos
+    return match.group(1), match.end()
 
 
 @_path_in_errors

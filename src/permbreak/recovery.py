@@ -45,11 +45,12 @@ class InconsistentPair(ValueError):
     its sorted cipher values.  Raised before any leaf of the tree is
     modified, so the tree still reflects exactly the batches accepted so
     far.  ``pair_index`` names the pair by its index in the batch given to
-    :meth:`RecoveryTree.refine`, and so in the pairs given to :func:`attack`.
+    :meth:`RecoveryTree.refine`, and so in the pairs given to :func:`attack`;
+    the error's text names it too: ``inconsistent pair (pair #t): ...``.
     """
 
     def __init__(self, message: str, pair_index: int):
-        super().__init__(message)
+        super().__init__(f"inconsistent pair (pair #{pair_index}): {message}")
         self.pair_index = pair_index
 
 

@@ -87,6 +87,14 @@ class TestGenChosenAndAttack:
             "chosen_02.pgm",
         ]
 
+    @pytest.mark.parametrize("size", [("0", "5"), ("5", "0")], ids=["height0", "width0"])
+    def test_rejects_empty_grid_before_writing(self, tmp_path, capsys, size):
+        out = tmp_path / "chosen"
+        assert main(["gen-chosen", *size, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_manifest_feeds_exact_recovery(self, tmp_path, key_file, capsys):
         out = tmp_path / "chosen"
         assert main(["gen-chosen", "4", "4", "--key", key_file, "--out", str(out)]) == 0
@@ -232,7 +240,34 @@ class TestReadManifestFuzz:
             assert len(pair) == 2 and all(os.path.isabs(f) for f in pair)
 
 
+def test_manifest_keeps_absolute_entry_and_joins_relative_one(tmp_path):
+    path = tmp_path / "lists" / "pairs.tsv"
+    path.parent.mkdir()
+    absolute = str(tmp_path / "elsewhere" / "plain.pgm")
+    path.write_text(f"{absolute}\tsub/cipher.pgm\n")
+    assert _read_manifest(str(path)) == [(absolute, str(tmp_path / "lists" / "sub" / "cipher.pgm"))]
+
+
+# `sweep --height 4 --width 4 --n0-min 3 --n0-max 4 --trials 2 --seed 9`;
+# the first stdout line names the output directory.
+SWEEP_STDOUT = """\
+sweep: {out}/sweep.csv (4 rows)
+n0,mean_bit_accuracy,mean_pixel_accuracy,mean_perm_accuracy
+3,0.4922,0.0000,0.0938
+4,0.5000,0.0000,0.0586
+"""
+
+
 class TestSweep:
+    def test_stdout_table_matches_golden_output(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        args = [
+            "sweep", "--height", "4", "--width", "4", "--n0-min", "3", "--n0-max", "4",
+            "--trials", "2", "--seed", "9", "--out", str(out),
+        ]
+        assert main(args) == 0
+        assert capsys.readouterr().out == SWEEP_STDOUT.format(out=out)
+
     def test_fixed_seed_is_byte_stable(self, tmp_path):
         args = [
             "sweep", "--height", "4", "--width", "4", "--n0-min", "3", "--n0-max", "4",

@@ -107,3 +107,43 @@ def test_mutated_file_is_rejected_or_reads_an_image(tmp_path_factory, data):
         assert str(exc).startswith(f"{path}: ")
         return
     assert img.ndim == 2 and img.dtype == np.uint8 and img.size >= 1
+
+
+def test_comment_running_to_end_of_file_is_truncated_header(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n2 1\n# no maxval follows")
+    with pytest.raises(ValueError, match="truncated PGM header"):
+        read_pgm(path)
+
+
+def test_hash_inside_a_token_belongs_to_it(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5#x\n1 1\n255\n\x00")
+    with pytest.raises(ValueError, match=re.escape("magic b'P5#x'")):
+        read_pgm(path)
+    path.write_bytes(b"P5\n2#3 1\n255\n\x00\x00")
+    with pytest.raises(ValueError, match=re.escape("width must be ASCII digits, got b'2#3'")):
+        read_pgm(path)
+
+
+def test_vertical_tab_and_form_feed_separate_fields(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\x0b2\x0c1\x0b\x0c255\n\x07\x09")
+    assert read_pgm(path).tolist() == [[7, 9]]
+
+
+@pytest.mark.parametrize("byte", [b"\x1c", b"\x85", b"\xa0"])
+def test_non_ascii_space_bytes_do_not_separate_fields(tmp_path, byte):
+    # str.isspace() accepts these; bytes.isspace() and the bytes \s of re do not
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n2" + byte + b"1\n255\n\x00\x00")
+    with pytest.raises(ValueError, match="must be ASCII digits"):
+        read_pgm(path)
+
+
+def test_field_after_a_megabyte_of_whitespace_and_comments(tmp_path):
+    path = tmp_path / "img.pgm"
+    filler = (b" \t\r\n" * 64 + b"# comment line\n") * 4000
+    assert len(filler) > 1_000_000
+    path.write_bytes(b"P5\n2" + filler + b"1\n255\n\x07\x09")
+    assert read_pgm(path).tolist() == [[7, 9]]

@@ -618,6 +618,7 @@ class TestAttack:
         with pytest.raises(InconsistentPair) as excinfo:
             attack(pairs, mode="bit")
         assert excinfo.value.pair_index == 2
+        assert str(excinfo.value).startswith("inconsistent pair (pair #2): ")
 
     def test_junk_pair_after_chosen_set_is_rejected(self):
         # The chosen set pins every position, so pair #11 is checked on all
