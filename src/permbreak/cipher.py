@@ -159,14 +159,11 @@ def apply_inverse(pmap: PermutationMap, grid) -> np.ndarray:
 
 
 def _digit_table(count: int, end: bytes) -> np.ndarray:
-    """Row v holds the decimal digits of v, right-aligned and padded with NUL
-    on the left, then the byte ``end``; one raw (void) item per row."""
-    powers = 10 ** np.arange(len(str(count - 1)) - 1, -1, -1)
-    values = np.arange(count)[:, None]
-    digits = np.where(values >= powers, values // powers % 10 + ord("0"), 0)
-    digits[0, -1] = ord("0")  # zero's one digit, which values >= powers misses
-    table = np.column_stack((digits, np.full(count, ord(end)))).astype(np.uint8)
-    return table.view(f"V{table.shape[1]}").ravel()
+    """Row v holds the decimal digits of v (NumPy's integer-to-bytes cast),
+    then the byte ``end``, then NUL padding up to the widest row; one raw
+    (void) item per row."""
+    table = np.char.add(np.arange(count).astype(f"S{len(str(count - 1))}"), end)
+    return table.view(f"V{table.itemsize}")
 
 
 def save_permutation(pmap: PermutationMap, path) -> None:
@@ -174,8 +171,8 @@ def save_permutation(pmap: PermutationMap, path) -> None:
 
     The bytes are those ``np.savetxt(fmt="%d")`` writes (single spaces, ``\\n``
     endings, no padding).  Each chunk of lines is gathered from per-shape digit
-    tables into one fixed-width record per line, and the NUL padding is
-    dropped from its bytes.
+    tables into one fixed-width record per line; every field's NUL padding
+    sits after its separator, and all NULs are dropped from the bytes.
     """
     rows, cols = pmap.rows, pmap.cols
     row, col = _digit_table(rows, b" "), _digit_table(cols, b" ")

@@ -72,8 +72,15 @@ def _read_manifest(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _decrypt_with_map(estimate, cipher_img) -> np.ndarray:
-    return pack_to_image(apply_inverse(estimate, expand_to_bits(cipher_img)))
+def _trial(key: Key, plains, target):
+    """One held-out trial: attack ``key`` with the pairs of ``plains``, decrypt
+    the ciphertext of ``target`` with the estimated map, and score the image
+    and the map.  Returns (report, recovered, summary, perm_accuracy)."""
+    estimate, report = attack([(p, encrypt(p, key)) for p in plains], mode="bit")
+    recovered = pack_to_image(apply_inverse(estimate, expand_to_bits(encrypt(target, key))))
+    summary, _ = compare_images(recovered, target)
+    truth = compose_permutation(key, *target.shape)
+    return report, recovered, summary, perm_accuracy(estimate, truth)
 
 
 def _random_image(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
@@ -184,16 +191,10 @@ def run_sweep(
             else:
                 picks = rng.choice(len(corpus), size=n0 + 1, replace=False)
                 plains = [corpus[i] for i in picks]
-            held_out = plains.pop()
-            pairs = [(p, encrypt(p, key)) for p in plains]
-            estimate, report = attack(pairs, mode="bit")
-            recovered = _decrypt_with_map(estimate, encrypt(held_out, key))
-            summary, _ = compare_images(recovered, held_out)
-            truth = compose_permutation(key, height, width)
+            report, _, summary, perm = _trial(key, plains[:-1], plains[-1])
             rows.append(
                 f"{seed},{n0},{trial},"
-                f"{summary.bit_accuracy:.6f},{summary.pixel_accuracy:.6f},"
-                f"{perm_accuracy(estimate, truth):.6f},"
+                f"{summary.bit_accuracy:.6f},{summary.pixel_accuracy:.6f},{perm:.6f},"
                 f"{report.singleton_fraction:.6f},{report.residual_log2:.6f},"
                 f"{report.predicted_pb:.6f},{report.positions_processed}"
             )
@@ -278,24 +279,20 @@ def cmd_demo(args) -> int:
         raise ValueError(f"demo needs --size >= 2, got {size}")
     rng = np.random.default_rng(args.seed)
     key = _load_key(args.key) if args.key else random_key(rng)
-    os.makedirs(args.out, exist_ok=True)
     scene = _structured_scene(size)
-    scene_cipher = encrypt(scene, key)
+    os.makedirs(args.out, exist_ok=True)
     write_pgm(os.path.join(args.out, "scene.pgm"), scene)
-    write_pgm(os.path.join(args.out, "scene_cipher.pgm"), scene_cipher)
+    write_pgm(os.path.join(args.out, "scene_cipher.pgm"), encrypt(scene, key))
 
-    truth = compose_permutation(key, size, size)
     threshold = min_known_plaintexts(size, size)
     print(f"grid {size}x{size}: useful recovery needs more than {threshold - 1} pairs")
     print("n0,bit_accuracy,pixel_accuracy,perm_accuracy,one_bit_error_fraction")
     for n0 in (threshold - 4, threshold, threshold + 5):
         plains = [_random_image(rng, size, size) for _ in range(n0)]
-        estimate, _ = attack([(p, encrypt(p, key)) for p in plains], mode="bit")
-        recovered = _decrypt_with_map(estimate, scene_cipher)
-        summary, _ = compare_images(recovered, scene)
+        _, recovered, summary, perm = _trial(key, plains, scene)
         print(
             f"{n0},{summary.bit_accuracy:.4f},{summary.pixel_accuracy:.4f},"
-            f"{perm_accuracy(estimate, truth):.4f},{summary.one_bit_error_fraction:.4f}"
+            f"{perm:.4f},{summary.one_bit_error_fraction:.4f}"
         )
         stem = os.path.join(args.out, f"recovered_n{n0:02d}")
         write_pgm(stem + ".pgm", recovered)
@@ -368,7 +365,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

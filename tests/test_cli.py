@@ -95,6 +95,18 @@ class TestGenChosenAndAttack:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_grid_too_large_to_allocate_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # stands in for NumPy's allocation failure; nothing is allocated for real
+        def out_of_memory(height, width):
+            raise MemoryError(f"Unable to allocate 596. GiB for an array with shape ({height}, {width})")
+
+        monkeypatch.setattr("permbreak.cli.construct_chosen_plaintexts", out_of_memory)
+        out = tmp_path / "chosen"
+        assert main(["gen-chosen", "100000", "100000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_manifest_feeds_exact_recovery(self, tmp_path, key_file, capsys):
         out = tmp_path / "chosen"
         assert main(["gen-chosen", "4", "4", "--key", key_file, "--out", str(out)]) == 0
@@ -303,7 +315,10 @@ class TestSweep:
 
     def test_fixed_key_file_is_honoured(self, tmp_path, key_file):
         rows = run_sweep(height=4, width=4, n0_min=3, n0_max=3, trials=2, seed=1, key_file=key_file)
-        assert len(rows) == 2
+        assert rows == [
+            "1,3,0,0.500000,0.000000,0.046875,0.000000,359.169959,0.059259,768",
+            "1,3,1,0.546875,0.000000,0.031250,0.000000,359.382953,0.059259,768",
+        ]
 
     def test_corpus_mode_reads_directory(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -314,7 +329,10 @@ class TestSweep:
         rows = run_sweep(
             height=4, width=4, n0_min=3, n0_max=3, trials=2, seed=1, corpus_dir=str(corpus)
         )
-        assert len(rows) == 2
+        assert rows == [
+            "1,3,0,0.546875,0.000000,0.007812,0.000000,360.625586,0.059259,768",
+            "1,3,1,0.562500,0.000000,0.203125,0.000000,360.403193,0.059259,768",
+        ]
 
     def test_corpus_too_small_is_rejected(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -34,6 +34,27 @@ DEMO_SHA256 = {
     "scene_cipher.pgm": "8ef7c891d499d9c2a0c59708e80561b132156e62b3f2703d95d0df56482d2381",
 }
 
+# `demo --size 8 --seed 5 --key K` with K the line "0.2009 3.98 20 51 4".
+DEMO_KEY_LINE = "0.2009 3.98 20 51 4"
+DEMO_KEY_STDOUT = """\
+grid 8x8: useful recovery needs more than 9 pairs
+n0,bit_accuracy,pixel_accuracy,perm_accuracy,one_bit_error_fraction
+6,0.5508,0.0000,0.1191,0.1094
+10,0.8398,0.2812,0.7559,0.4130
+15,1.0000,1.0000,0.9922,0.0000
+images written to {out}/
+"""
+DEMO_KEY_SHA256 = {
+    "recovered_n06.pgm": "06b5a89376c13cb8e757e69ea4fd7b4c971485ecce767a2222f0b84f0d388a2a",
+    "recovered_n06_median.pgm": "c6e55e1b6b79b458eefd4818a71ca1c382af3a8f0538312708b51ed6459712d7",
+    "recovered_n10.pgm": "192ee6b3f106f4ed48094291bfd42e0cc313958827e8706996886f3797c6d245",
+    "recovered_n10_median.pgm": "3f5e6c32147dd4987a4d79c5496a87343afc8e1730db3b02bfb694bad11908a2",
+    "recovered_n15.pgm": "997b1961a76eb4c028038cc4c179921b8a165a4a3e121bec946c81a3f846b5e6",
+    "recovered_n15_median.pgm": "cd4e46e1e77c0f0bab35dedf6651e013b2d18d5ed5ec3c487db390bc16d0d409",
+    "scene.pgm": "997b1961a76eb4c028038cc4c179921b8a165a4a3e121bec946c81a3f846b5e6",
+    "scene_cipher.pgm": "a071e04a8210075bdb5eba457a96c254a9bb26e4f626769390846500040256dc",
+}
+
 
 def run_demo(*args):
     return subprocess.run(
@@ -62,6 +83,30 @@ def test_known_plaintext_demo_matches_golden_output(tmp_path):
     assert result.stdout == DEMO_STDOUT.format(out=out)
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == DEMO_SHA256
+
+
+def test_demo_with_key_file_matches_golden_output(tmp_path):
+    key = tmp_path / "key.txt"
+    key.write_text(DEMO_KEY_LINE + "\n")
+    out = tmp_path / "demo"
+    result = run_demo("--size", "8", "--seed", "5", "--key", str(key), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == DEMO_KEY_STDOUT.format(out=out)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == DEMO_KEY_SHA256
+
+
+def test_demo_scene_too_large_to_allocate_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # stands in for NumPy's allocation failure; nothing is allocated for real
+    def out_of_memory(size):
+        raise MemoryError(f"Unable to allocate 37.3 GiB for an array with shape ({size}, {size})")
+
+    monkeypatch.setattr("permbreak.cli._structured_scene", out_of_memory)
+    out = tmp_path / "demo"
+    assert main(["demo", "--size", "200000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_demo_key_file_error_names_the_file(tmp_path, capsys):
