@@ -136,15 +136,20 @@ def decrypt(img, key: Key) -> np.ndarray:
     return pack_to_image(apply_inverse(compose_permutation(key, *np.shape(img)), bits))
 
 
-def apply_map(pmap: PermutationMap, grid) -> np.ndarray:
-    """Scatter a value grid through the map: out[W(p)] = in[p]."""
+def _flat_on(pmap: PermutationMap, grid) -> np.ndarray:
+    """The grid flattened, once its shape is checked against the map's."""
     g = np.asarray(grid)
     if g.shape != (pmap.rows, pmap.cols):
         raise ShapeError(f"grid shape {g.shape} does not match map {pmap.rows}x{pmap.cols}")
-    flat = g.reshape(-1)
+    return g.reshape(-1)
+
+
+def apply_map(pmap: PermutationMap, grid) -> np.ndarray:
+    """Scatter a value grid through the map: out[W(p)] = in[p]."""
+    flat = _flat_on(pmap, grid)
     out = np.empty_like(flat)
     out[pmap.target] = flat
-    return out.reshape(g.shape)
+    return out.reshape(pmap.rows, pmap.cols)
 
 
 def apply_inverse(pmap: PermutationMap, grid) -> np.ndarray:
@@ -152,10 +157,7 @@ def apply_inverse(pmap: PermutationMap, grid) -> np.ndarray:
 
     With an estimated map this is decryption by equivalent key.
     """
-    g = np.asarray(grid)
-    if g.shape != (pmap.rows, pmap.cols):
-        raise ShapeError(f"grid shape {g.shape} does not match map {pmap.rows}x{pmap.cols}")
-    return g.reshape(-1)[pmap.target].reshape(g.shape)
+    return _flat_on(pmap, grid)[pmap.target].reshape(pmap.rows, pmap.cols)
 
 
 def _digit_table(count: int, end: bytes) -> np.ndarray:

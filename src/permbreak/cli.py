@@ -87,15 +87,11 @@ def _random_image(rng: np.random.Generator, height: int, width: int) -> np.ndarr
     return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
 
 
-def cmd_encrypt(args) -> int:
+def cmd_cipher(args) -> int:
+    # The names are looked up at call time, so a wrapped cli.encrypt counts.
+    cipher = encrypt if args.command == "encrypt" else decrypt
     key = _load_key(args.key)
-    write_pgm(args.output, encrypt(read_pgm(args.input), key))
-    return 0
-
-
-def cmd_decrypt(args) -> int:
-    key = _load_key(args.key)
-    write_pgm(args.output, decrypt(read_pgm(args.input), key))
+    write_pgm(args.output, cipher(read_pgm(args.input), key))
     return 0
 
 
@@ -264,7 +260,8 @@ def _structured_scene(size: int) -> np.ndarray:
     partial recovery is visible by eye.  Needs size >= 2."""
     ramp = (np.arange(size) * 255 // (size - 1)).astype(np.uint8)
     scene = np.tile(ramp, (size, 1))
-    yy, xx = np.mgrid[0:size, 0:size]
+    # A column and a row of indices, broadcast: no full-size index grids.
+    yy, xx = np.ogrid[0:size, 0:size]
     disc = (yy - size * 0.35) ** 2 + (xx - size * 0.4) ** 2 < (size * 0.2) ** 2
     scene[disc] = 230
     box = (yy > size * 0.6) & (yy < size * 0.9) & (xx > size * 0.55) & (xx < size * 0.85)
@@ -308,17 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encrypt", help="encrypt a PGM image")
-    p.add_argument("input", help="plain image (PGM)")
-    p.add_argument("output", help="cipher image (PGM)")
-    p.add_argument("--key", required=True, help="key file: one line 'x0 mu m n T'")
-    p.set_defaults(func=cmd_encrypt)
-
-    p = sub.add_parser("decrypt", help="decrypt a PGM image")
-    p.add_argument("input", help="cipher image (PGM)")
-    p.add_argument("output", help="recovered image (PGM)")
-    p.add_argument("--key", required=True, help="key file: one line 'x0 mu m n T'")
-    p.set_defaults(func=cmd_decrypt)
+    for name, given, made in (("encrypt", "plain", "cipher"), ("decrypt", "cipher", "recovered")):
+        p = sub.add_parser(name, help=f"{name} a PGM image")
+        p.add_argument("input", help=f"{given} image (PGM)")
+        p.add_argument("output", help=f"{made} image (PGM)")
+        p.add_argument("--key", required=True, help="key file: one line 'x0 mu m n T'")
+        p.set_defaults(func=cmd_cipher)
 
     p = sub.add_parser("attack-known", help="recover the permutation from known pairs")
     p.add_argument("manifest", help="pair list, one 'plain<TAB>cipher' line per pair")

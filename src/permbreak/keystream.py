@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Control parameters below this threshold leave the map's periodic window;
-# the cipher's key space is the chaotic band up to (but excluding) 4.
+# Control parameters below this threshold (the onset of chaos) give periodic
+# orbits.  The key space is (MU_MIN, 4), and periodic windows lie inside it.
 MU_MIN = 3.569945672
 MU_MAX = 4.0
 # Key lines come from outside the program; these caps keep a key from

@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cipher import PermutationMap, ShapeError, _as_grid, _as_image, expand_to_bits, pack_to_image
+from .cipher import PermutationMap, ShapeError, _as_grid, expand_to_bits, pack_to_image
 
 
 class InconsistentPair(ValueError):
@@ -92,8 +92,8 @@ class RecoveryTree:
         numbers of plain and cipher positions to one value sequence, and no
         permutation fitting the pairs before t maps pair t's plaintext onto
         its ciphertext.  Then InconsistentPair is raised with index t before
-        the tree is touched, so the whole batch is rejected.  Every pair's
-        shape is checked before any sort.
+        the tree is touched, so the whole batch is rejected.  Every grid is
+        checked by ``_as_grid`` before any sort, and keeps its own dtype.
         """
         flats = []
         for index, (p, c) in enumerate(pairs):
@@ -106,8 +106,7 @@ class RecoveryTree:
                     )
             except ShapeError as exc:
                 raise ShapeError(f"pair #{index}: {exc}") from None
-            # Values lie below arity <= 256, so uint8 holds them exactly.
-            flats.append(tuple(g.reshape(-1).astype(np.uint8, copy=False) for g in (pgrid, cgrid)))
+            flats.append((pgrid.reshape(-1), cgrid.reshape(-1)))
 
         width = (self.arity - 1).bit_length()  # bits per value
         step = 16 // width  # pairs per uint16 sort key
@@ -119,7 +118,8 @@ class RecoveryTree:
                 key = np.zeros(len(label), dtype=np.uint16)
                 for flat in flats[first : first + step]:
                     key <<= width
-                    key |= flat[side]
+                    # Exact: _as_grid bounds every value below arity <= 256.
+                    np.bitwise_or(key, flat[side], out=key, casting="unsafe")
                 keys.append(key[positions])
             # np.lexsort's last key is its primary one.  Stable, so each new
             # leaf keeps ascending (row-major) order, which the in-order
@@ -148,13 +148,6 @@ class RecoveryTree:
 
         self._plain, self._cipher, self._label = plain, cipher, np.cumsum(starts) - 1
         self.positions_processed += processed
-
-    def leaf_sets(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Copies of every leaf's (plain positions, cipher positions), in
-        leaf order, singletons included."""
-        bounds = np.cumsum(np.bincount(self._label))[:-1]
-        plain, cipher = self._plain.copy(), self._cipher.copy()
-        return list(zip(np.split(plain, bounds), np.split(cipher, bounds)))
 
     @property
     def leaf_count(self) -> int:
@@ -212,16 +205,15 @@ class AttackReport:
 
 
 def min_known_plaintexts(height: int, width: int) -> int:
-    """Smallest pair count for which the paper's p_b exceeds 1/2.
+    """The least n0 > ceil(log2(8*M*N - 1)): one pair more than the chosen set.
 
-    p_b (see :func:`predicted_bit_accuracy`) is a per-position lower bound on
-    placing one bit right, not the held-out bit accuracy, which never falls
-    below 1/2.  This is the least n0 strictly greater than
-    ceil(log2(8*M*N - 1)), computed exactly via bit_length.
+    8*M*N - 1 is odd and at least 7, so its ceil(log2) is ceil(log2(8*M*N)),
+    which is :func:`chosen_plaintext_count`.  At this n0 the paper's p_b
+    (see :func:`predicted_bit_accuracy`) exceeds 2/3; it already exceeds 1/2
+    one pair earlier.  p_b is a per-position lower bound on placing one bit
+    right, not the held-out bit accuracy, which never falls below 1/2.
     """
-    if height < 1 or width < 1:
-        raise ValueError("image dimensions must be >= 1")
-    return (8 * height * width - 2).bit_length() + 1
+    return chosen_plaintext_count(height, width) + 1
 
 
 def recovery_probability(grid_size: int, levels: int, n0: int) -> float:
@@ -325,13 +317,13 @@ def attack(pairs, mode: str = "bit") -> tuple[PermutationMap, AttackReport]:
 
     start = time.perf_counter()
     if mode == "bit":
-        grids = [(expand_to_bits(p), expand_to_bits(c)) for p, c in pairs]
+        # 0/1 by construction: as bool, refine's check reads no data.
+        grids = [(expand_to_bits(p).view(bool), expand_to_bits(c).view(bool)) for p, c in pairs]
         arity = 2
     else:
-        grids = [(_as_image(p), _as_image(c)) for p, c in pairs]
-        arity = 256
-    rows, cols = grids[0][0].shape
-    # refine rejects every grid whose shape differs from the first one's.
+        grids, arity = pairs, 256
+    rows, cols = _as_grid(grids[0][0], arity).shape
+    # refine checks every grid, and rejects every shape but the first one's.
     tree = RecoveryTree(rows, cols, arity)
     tree.refine(grids)
     estimate = tree.estimate_map()

@@ -140,11 +140,19 @@ def intersection_partition(plain_grids, cipher_grids) -> set:
     return {(frozenset(positions), candidates) for candidates, positions in groups.items()}
 
 
+def leaf_sets(tree) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Copies of every leaf's (plain positions, cipher positions), in leaf
+    order, singletons included."""
+    bounds = np.cumsum(np.bincount(tree._label))[:-1]
+    plain, cipher = tree._plain.copy(), tree._cipher.copy()
+    return list(zip(np.split(plain, bounds), np.split(cipher, bounds)))
+
+
 def tree_partition(tree) -> set:
     """The tree's leaf partition in the same shape as intersection_partition."""
     return {
         (frozenset(int(p) for p in plain), frozenset(int(c) for c in cipher))
-        for plain, cipher in tree.leaf_sets()
+        for plain, cipher in leaf_sets(tree)
     }
 
 

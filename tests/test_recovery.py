@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from conftest import intersection_partition, random_image, reference_refine, tree_partition
+from conftest import (
+    intersection_partition,
+    leaf_sets,
+    random_image,
+    reference_refine,
+    tree_partition,
+)
 from permbreak.analysis import perm_accuracy
 from permbreak.cipher import (
     PermutationMap,
@@ -85,7 +91,7 @@ def batches(draw):
 def tree_state(tree):
     """Everything a tree reports, in comparable form."""
     return (
-        [(plain.tolist(), cipher.tolist()) for plain, cipher in tree.leaf_sets()],
+        [(plain.tolist(), cipher.tolist()) for plain, cipher in leaf_sets(tree)],
         tree.estimate_map().target.tolist(),
         tree.leaf_count,
         tree.residual_ambiguity(),
@@ -106,20 +112,20 @@ class TestTreeInit:
     def test_single_row_of_bits(self):
         tree = RecoveryTree(1, 8, 2)
         assert tree.leaf_count == 1
-        (plain, cipher), = tree.leaf_sets()
+        (plain, cipher), = leaf_sets(tree)
         assert plain.tolist() == list(range(8))
         assert cipher.tolist() == list(range(8))
 
     def test_full_scale_root_cardinality(self):
         tree = RecoveryTree(256, 2048, 2)
         assert tree.leaf_count == 1
-        (plain, cipher), = tree.leaf_sets()
+        (plain, cipher), = leaf_sets(tree)
         assert len(plain) == len(cipher) == 2**19
         assert tree.singleton_fraction == 0.0
 
     def test_byte_arity_small_grid(self):
         tree = RecoveryTree(2, 2, 256)
-        (plain, cipher), = tree.leaf_sets()
+        (plain, cipher), = leaf_sets(tree)
         assert plain.tolist() == cipher.tolist() == [0, 1, 2, 3]
         assert tree.arity == 256
 
@@ -139,7 +145,7 @@ class TestRefine:
         assert tree_partition(tree) == before
         assert tree.leaf_count == 1
         assert tree.singleton_fraction == 0.0
-        (plain, cipher), = tree.leaf_sets()  # one child leaf holding the whole grid
+        (plain, cipher), = leaf_sets(tree)  # one child leaf holding the whole grid
         assert plain.tolist() == cipher.tolist() == list(range(16))
         assert tree.positions_processed == 2 * 16
 
@@ -150,7 +156,7 @@ class TestRefine:
         perm = rng.permutation(16)
         cipher = plain.reshape(-1)[np.argsort(perm)].reshape(2, 8)
         tree.refine([(plain, cipher)])
-        sizes = sorted(len(p) for p, _ in tree.leaf_sets())
+        sizes = sorted(len(p) for p, _ in leaf_sets(tree))
         ones = int(plain.sum())
         assert sizes == sorted([16 - ones, ones])
 
@@ -237,7 +243,7 @@ class TestRefine:
             tree = RecoveryTree(3, 16, 2)
             for plain, cipher in bit_pairs(rng, key, 3, 2, 4):
                 tree.refine([(plain, cipher)])
-            for plain, cipher in tree.leaf_sets():
+            for plain, cipher in leaf_sets(tree):
                 assert len(plain) == len(cipher)
                 # truth maps every leaf's plain set onto exactly its cipher set
                 assert sorted(truth.target[plain].tolist()) == sorted(cipher.tolist())
@@ -286,7 +292,7 @@ class TestBatchRefine:
         bad = min(int(where * len(pairs)), len(pairs) - 1)
         before = RecoveryTree(rows, cols, arity)
         reference_refine(before, pairs[:bad])
-        leaves = [cipher.tolist() for _, cipher in before.leaf_sets()]
+        leaves = [cipher.tolist() for _, cipher in leaf_sets(before)]
         open_cells = [cell for leaf in leaves if len(leaf) > 1 for cell in leaf]
         cells = open_cells if unpinned and open_cells else [cell for leaf in leaves for cell in leaf]
         cell = cells[pick % len(cells)]
@@ -314,7 +320,7 @@ class TestBatchRefine:
         for count in (63, bad):
             tree = RecoveryTree(2, 16, 2)
             reference_refine(tree, pairs[:count])
-            open_cells[count] = {int(c) for _, leaf in tree.leaf_sets() if len(leaf) > 1 for c in leaf}
+            open_cells[count] = {int(c) for _, leaf in leaf_sets(tree) if len(leaf) > 1 for c in leaf}
         cell = min(open_cells[63] - open_cells[bad] if pinned_in_chunk else open_cells[bad])
         plain, cipher = pairs[bad]
         cipher = cipher.copy()
@@ -506,6 +512,17 @@ class TestFormulas:
     def test_predicted_accuracy_at_threshold_minus_one(self):
         assert predicted_bit_accuracy(16, 16, 11) == approx(2048 / 4095)
 
+    @given(height=st.integers(1, 512), width=st.integers(1, 512))
+    def test_min_known_plaintexts_is_least_n0_above_ceil_log2(self, height, width):
+        # ceil(log2(8MN - 1)) + 1, exactly, as bit_length gives it
+        assert min_known_plaintexts(height, width) == (8 * height * width - 2).bit_length() + 1
+
+    @given(height=st.integers(1, 512), width=st.integers(1, 512))
+    def test_pb_at_and_one_below_min_known_plaintexts(self, height, width):
+        n0 = min_known_plaintexts(height, width)
+        assert predicted_bit_accuracy(height, width, n0) > 2 / 3
+        assert predicted_bit_accuracy(height, width, n0 - 1) > 1 / 2
+
     def test_predicted_accuracy_tends_to_one(self):
         assert predicted_bit_accuracy(16, 16, 60) == approx(1.0, abs=1e-12)
         assert error_bit_pmf(16, 16, 60)[0] == approx(1.0, abs=1e-9)
@@ -654,6 +671,32 @@ class TestAttack:
             pairs = [(p, encrypt(p, key)) for p in (random_image(rng, 2, 2) for _ in range(count))]
             attack(pairs, mode="bit")
             assert len(calls) == 1
+
+    def test_refine_gets_bool_bits_and_the_callers_byte_grids(self, monkeypatch):
+        # Each grid is checked once, by refine: bit grids are 0/1 by
+        # construction and come as bool, which _as_grid takes without reading
+        # them; byte grids come as the caller passed them, not converted.
+        handed, refine = [], RecoveryTree.refine
+
+        def recording_refine(tree, pairs):
+            handed.append(pairs)
+            return refine(tree, pairs)
+
+        monkeypatch.setattr(RecoveryTree, "refine", recording_refine)
+        rng = np.random.default_rng(14)
+        attack([(p, encrypt(p, REFERENCE_KEY)) for p in (random_image(rng, 4, 4) for _ in range(3))])
+        (grids,) = handed
+        assert [g.dtype for pair in grids for g in pair] == [np.dtype(bool)] * 6
+
+        pairs = [(p.astype(np.int64), c) for p, c in permuted_pairs(14, 4, 4, 256, 3, 0.5)]
+        copies = [(p.copy(), c.copy()) for p, c in pairs]
+        handed.clear()
+        attack(pairs, mode="byte")
+        (grids,) = handed
+        for got, given_pair, copy in zip(grids, pairs, copies):
+            assert got[0] is given_pair[0] and got[1] is given_pair[1]
+            assert np.array_equal(got[0], copy[0]) and np.array_equal(got[1], copy[1])
+        assert [g.dtype for pair in grids for g in pair] == [np.dtype(np.int64), np.dtype(np.uint8)] * 3
 
     def test_report_fields_are_python_scalars(self):
         # perfbench serialises the report with json, which takes no NumPy scalars.

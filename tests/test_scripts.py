@@ -2,13 +2,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from permbreak.analysis import median_filter_3x3
-from permbreak.cli import main
+from permbreak.cli import _structured_scene, main
 from permbreak.pgm import read_pgm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,6 +108,18 @@ def test_demo_scene_too_large_to_allocate_is_one_error_line(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_demo_scene_peak_memory_is_a_few_scenes():
+    # The disc and the box come from broadcast row and column indices; full
+    # int64 index grids and their float temporaries would take 33 scenes.
+    tracemalloc.start()
+    try:
+        scene = _structured_scene(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * scene.nbytes
 
 
 def test_demo_key_file_error_names_the_file(tmp_path, capsys):
